@@ -16,7 +16,7 @@ from pathlib import Path
 from . import corpus as corpus_io
 from .diagram import ClassDiagram, validate
 from .dsl import from_dict, parse
-from .errors import DiagramError, DslSyntaxError, ModelError
+from .errors import DiagramError, DslSyntaxError, InvalidAlpha, ModelError
 from .metrics import METRIC_NAMES, compute_metrics
 from .regression import (
     PUBLISHED_UNDERSTANDABILITY_MODEL,
@@ -39,6 +39,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _alpha(text: str) -> float:
+    """argparse type for --alpha: a significance level in (0, 0.5]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value <= 0.5:
+        raise argparse.ArgumentTypeError(str(InvalidAlpha(value)))
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -69,14 +80,14 @@ def _build_parser() -> _Parser:
     p_val = sub.add_parser("validate", help="Spearman validation of a corpus")
     p_val.add_argument("corpus", metavar="CORPUS")
     p_val.add_argument("--mode", choices=("rank", "value"), default="rank")
-    p_val.add_argument("--alpha", type=float, default=0.05)
+    p_val.add_argument("--alpha", type=_alpha, default=0.05)
     p_val.add_argument("--model", metavar="PATH", help="model file (JSON)")
 
     p_rep = sub.add_parser(
         "reproduce", help="re-run the published 28-diagram validation"
     )
     p_rep.add_argument("--mode", choices=("rank", "value"), default="rank")
-    p_rep.add_argument("--alpha", type=float, default=0.05)
+    p_rep.add_argument("--alpha", type=_alpha, default=0.05)
     p_rep.add_argument("--tolerance", type=float, default=0.002)
 
     return parser

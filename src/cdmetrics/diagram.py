@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
 from .errors import (
@@ -100,38 +101,20 @@ class ClassDiagram:
         return hash(self._key())
 
 
-def _find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
-    """Return one directed cycle as a node list, or None if the graph is a DAG."""
-    adjacency: dict[str, list[str]] = {}
-    for src, dst in edges:
-        adjacency.setdefault(src, []).append(dst)
+def longest_paths(edges: Iterable[tuple[str, str]]) -> dict[str, int]:
+    """Longest outgoing path length, in edges, of every node of one hierarchy kind.
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in adjacency}
-    for node in adjacency:
-        if color[node] != WHITE:
-            continue
-        stack = [(node, iter(adjacency.get(node, [])))]
-        path = [node]
-        color[node] = GRAY
-        while stack:
-            current, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                state = color.get(nxt, WHITE)
-                if state == GRAY:
-                    return path[path.index(nxt):]
-                if state == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append((nxt, iter(adjacency.get(nxt, []))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[current] = BLACK
-                path.pop()
-                stack.pop()
-    return None
+    One graphlib pass orders each node after its successors, so a node's
+    depth is 1 + the max depth of its successors (0 for a sink).  Raises
+    graphlib.CycleError if the edges contain a directed cycle.
+    """
+    successors: dict[str, list[str]] = {}
+    for src, dst in edges:
+        successors.setdefault(src, []).append(dst)
+    depths: dict[str, int] = {}
+    for node in TopologicalSorter(successors).static_order():
+        depths[node] = 1 + max((depths[s] for s in successors.get(node, ())), default=-1)
+    return depths
 
 
 def validate(diagram: ClassDiagram) -> ClassDiagram:
@@ -163,8 +146,11 @@ def validate(diagram: ClassDiagram) -> ClassDiagram:
             if pair in pairs:
                 raise DuplicateHierarchyEdge(kind, pair)
             pairs.add(pair)
-        cycle = _find_cycle(edges)
-        if cycle is not None:
-            raise cycle_error(cycle)
+        try:
+            longest_paths(edges)
+        except CycleError as exc:
+            # args[1] walks the cycle against the edges and repeats its first
+            # node: [a, c, b, a] for a -> b -> c -> a.
+            raise cycle_error(exc.args[1][:0:-1]) from None
 
     return diagram

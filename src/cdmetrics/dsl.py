@@ -123,7 +123,12 @@ def parse(source: str) -> ClassDiagram:
                         f"expected 'attr', 'method' or '}}' in class body, got {head!r}",
                     )
                 member = entry_line.ident(start + 1, f"{head} name")
-                (attrs if head == "attr" else methods).append(member)
+                members = attrs if head == "attr" else methods
+                if member in members:
+                    entry_line.fail(
+                        start + 1, f"duplicate {head} name {member!r} in class {name!r}"
+                    )
+                members.append(member)
                 rest = [t for _, t in entry_line.tokens[start + 2:]]
                 if rest == ["}"]:
                     return True

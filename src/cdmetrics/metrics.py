@@ -9,9 +9,8 @@ depths (MaxHAgg, MaxDIT).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
-from .diagram import ClassDiagram, RelKind
+from .diagram import ClassDiagram, RelKind, longest_paths
 from .errors import UnknownClass
 
 METRIC_NAMES = (
@@ -58,30 +57,11 @@ class MetricsVector:
         return getattr(self, name)
 
 
-def _edges(diagram: ClassDiagram, kind: RelKind) -> list[tuple[str, str]]:
-    return [(r.source, r.target) for r in diagram.by_kind(kind)]
-
-
-def _longest_path_from(start: str, adjacency: dict[str, list[str]]) -> int:
-    """Longest directed path length (in edges) from start, over an acyclic graph."""
-
-    @lru_cache(maxsize=None)
-    def depth(node: str) -> int:
-        successors = adjacency.get(node, [])
-        if not successors:
-            return 0
-        return 1 + max(depth(s) for s in successors)
-
-    return depth(start)
-
-
 def _depth_metric(diagram: ClassDiagram, cls: str, kind: RelKind) -> int:
     if cls not in diagram.class_names():
         raise UnknownClass(cls)
-    adjacency: dict[str, list[str]] = {}
-    for src, dst in _edges(diagram, kind):
-        adjacency.setdefault(src, []).append(dst)
-    return _longest_path_from(cls, adjacency)
+    edges = [(r.source, r.target) for r in diagram.by_kind(kind)]
+    return longest_paths(edges).get(cls, 0)
 
 
 def dit(diagram: ClassDiagram, cls: str) -> int:
@@ -94,8 +74,8 @@ def hagg(diagram: ClassDiagram, cls: str) -> int:
     return _depth_metric(diagram, cls, RelKind.AGGREGATION)
 
 
-def count_hierarchies(diagram: ClassDiagram, kind: RelKind) -> int:
-    """Number of weakly connected components with at least one edge of the kind."""
+def _components(edges: list[tuple[str, str]]) -> int:
+    """Number of weakly connected components spanned by the edges (union-find)."""
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:
@@ -106,7 +86,6 @@ def count_hierarchies(diagram: ClassDiagram, kind: RelKind) -> int:
             parent[x], x = root, parent[x]
         return root
 
-    edges = _edges(diagram, kind)
     for src, dst in edges:
         for node in (src, dst):
             parent.setdefault(node, node)
@@ -115,21 +94,27 @@ def count_hierarchies(diagram: ClassDiagram, kind: RelKind) -> int:
     return len({find(node) for node in parent})
 
 
+def count_hierarchies(diagram: ClassDiagram, kind: RelKind) -> int:
+    """Number of weakly connected components with at least one edge of the kind."""
+    return _components([(r.source, r.target) for r in diagram.by_kind(kind)])
+
+
 def compute_metrics(diagram: ClassDiagram) -> MetricsVector:
     """All eleven metrics for a validated (acyclic-hierarchy) diagram."""
-    names = diagram.class_names()
-    max_dit = max((dit(diagram, c) for c in names), default=0)
-    max_hagg = max((hagg(diagram, c) for c in names), default=0)
+    edges: dict[RelKind, list[tuple[str, str]]] = {kind: [] for kind in RelKind}
+    for r in diagram.relationships:
+        edges[r.kind].append((r.source, r.target))
+    gen, agg = edges[RelKind.GENERALIZATION], edges[RelKind.AGGREGATION]
     return MetricsVector(
-        NC=len(names),
+        NC=len(diagram.classes),
         NA=sum(len(c.attributes) for c in diagram.classes),
         NM=sum(len(c.methods) for c in diagram.classes),
-        NAssoc=len(diagram.by_kind(RelKind.ASSOCIATION)),
-        NAgg=len(diagram.by_kind(RelKind.AGGREGATION)),
-        NDep=len(diagram.by_kind(RelKind.DEPENDENCY)),
-        NGen=len(diagram.by_kind(RelKind.GENERALIZATION)),
-        NAggH=count_hierarchies(diagram, RelKind.AGGREGATION),
-        NGenH=count_hierarchies(diagram, RelKind.GENERALIZATION),
-        MaxHAgg=max_hagg,
-        MaxDIT=max_dit,
+        NAssoc=len(edges[RelKind.ASSOCIATION]),
+        NAgg=len(agg),
+        NDep=len(edges[RelKind.DEPENDENCY]),
+        NGen=len(gen),
+        NAggH=_components(agg),
+        NGenH=_components(gen),
+        MaxHAgg=max(longest_paths(agg).values(), default=0),
+        MaxDIT=max(longest_paths(gen).values(), default=0),
     )

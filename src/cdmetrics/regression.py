@@ -5,8 +5,9 @@ diagram metrics::
 
     understandability = 1.33515 + 0.129*NAssoc + 0.0463*NA + 0.3405*MaxDIT
 
-New models over any subset of the eleven metrics are fitted via the normal
-equations with a partially pivoted direct solve.
+New models over any subset of the eleven metrics are fitted by ordinary least
+squares on the design matrix itself (numpy.linalg.lstsq, an SVD solve), so
+the condition number is not squared as it would be by the normal equations.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from typing import Mapping, Sequence
 
 from .errors import InsufficientSamples, ModelError, SingularDesign
 from .metrics import METRIC_NAMES, MetricsVector
-
-PIVOT_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,28 +94,6 @@ def estimate(model: LinearModel, metrics: MetricsVector | Mapping[str, float]) -
     )
 
 
-def _solve_pivoted(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting; raises SingularDesign."""
-    n = len(rhs)
-    a = [row[:] + [r] for row, r in zip(matrix, rhs)]
-    scale = max((abs(v) for row in matrix for v in row), default=0.0) or 1.0
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot_row][col]) <= PIVOT_TOLERANCE * scale:
-            raise SingularDesign()
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        for row in range(col + 1, n):
-            factor = a[row][col] / a[col][col]
-            for k in range(col, n + 1):
-                a[row][k] -= factor * a[col][k]
-    solution = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        solution[row] = (
-            a[row][n] - sum(a[row][k] * solution[k] for k in range(row + 1, n))
-        ) / a[row][row]
-    return solution
-
-
 def fit(samples: Sequence[RatedSample], predictors: Sequence[str]) -> LinearModel:
     """Ordinary least squares over the requested predictors plus an intercept.
 
@@ -132,19 +109,17 @@ def fit(samples: Sequence[RatedSample], predictors: Sequence[str]) -> LinearMode
         if missing:
             raise ModelError(f"sample missing predictor(s): {sorted(missing)}")
 
-    design = [
-        [1.0] + [float(s.predictors[p]) for p in predictors] for s in samples
-    ]
-    ratings = [s.rating for s in samples]
-    p = len(predictors) + 1
-    normal = [
-        [sum(row[i] * row[j] for row in design) for j in range(p)]
-        for i in range(p)
-    ]
-    moments = [
-        sum(row[i] * y for row, y in zip(design, ratings)) for i in range(p)
-    ]
-    solution = _solve_pivoted(normal, moments)
+    # Imported here, not at module level, so that the `metrics` and `estimate`
+    # paths do not pay numpy's import time at start-up.
+    import numpy as np
+
+    design = np.array(
+        [[1.0, *(float(s.predictors[p]) for p in predictors)] for s in samples]
+    )
+    ratings = np.array([s.rating for s in samples])
+    solution, _, rank, _ = np.linalg.lstsq(design, ratings, rcond=None)
+    if rank < needed:
+        raise SingularDesign()
     return LinearModel(
         intercept=solution[0],
         coefficients=tuple(zip(predictors, solution[1:])),

@@ -236,3 +236,23 @@ def test_determinism(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["estimate", path])
     assert capsys.readouterr().out == first
+
+
+def test_metrics_duplicate_member_exit_2_with_span(tmp_path, capsys):
+    path = _write(tmp_path, "dup.cd", "class A {\n  attr x\n  attr x\n}\n")
+    assert main(["metrics", path]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:3:8:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["0.7", "0"])
+@pytest.mark.parametrize("command", ["validate", "reproduce"])
+def test_alpha_out_of_range_is_usage_error(tmp_path, capsys, command, alpha):
+    # Two pairs: below the n >= 4 that the significance test itself needs.
+    path = _write(tmp_path, "v.csv", "id,known,computed\na,1,1.5\nb,2,2.5\n")
+    argv = [command, path] if command == "validate" else [command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--alpha", alpha])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--alpha" in err and "Traceback" not in err

@@ -120,3 +120,37 @@ def test_random_dags_pass_and_injected_back_edges_fail(rng):
             validate(cyclic)
         rejected += 1
     assert rejected > 20
+
+
+def _assert_cycle_follows_edges(cycle, diagram, kind):
+    edges = {(r.source, r.target) for r in diagram.by_kind(kind)}
+    closed = list(cycle) + [cycle[0]]
+    assert all(pair in edges for pair in zip(closed, closed[1:]))
+
+
+@pytest.mark.parametrize("kind, error, edges", [
+    (RelKind.GENERALIZATION, GeneralizationCycle, [("A", "B"), ("B", "A")]),
+    (RelKind.AGGREGATION, AggregationCycle, [("A", "B"), ("B", "C"), ("C", "A")]),
+    (RelKind.GENERALIZATION, GeneralizationCycle, [("A", "A")]),
+], ids=["two_cycle", "three_cycle", "self_loop"])
+def test_reported_cycle_follows_declared_edges(kind, error, edges):
+    d = ClassDiagram("d", _classes("A", "B", "C"), tuple(
+        Relationship(kind, src, dst) for src, dst in edges
+    ))
+    with pytest.raises(error) as exc:
+        validate(d)
+    assert len(exc.value.cycle) == len(edges)
+    _assert_cycle_follows_edges(exc.value.cycle, d, kind)
+
+
+def test_long_generalization_cycle_rejected_without_recursion_error():
+    n = 10**4
+    names = [f"C{i}" for i in range(n)]
+    d = ClassDiagram("ring", _classes(*names), tuple(
+        Relationship(RelKind.GENERALIZATION, names[i], names[(i + 1) % n])
+        for i in range(n)
+    ))
+    with pytest.raises(GeneralizationCycle) as exc:
+        validate(d)
+    assert len(exc.value.cycle) == n
+    _assert_cycle_follows_edges(exc.value.cycle, d, RelKind.GENERALIZATION)

@@ -108,3 +108,11 @@ def test_structured_field_names():
     assert obj["relationships"] == [
         {"kind": "generalization", "from": "B", "to": "A"}
     ]
+
+
+@pytest.mark.parametrize("member", ["attr", "method"])
+def test_duplicate_member_is_syntax_error_at_duplicate(member):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(f"class A {{\n  {member} x\n  {member} x\n}}\n")
+    assert (exc.value.span.line, exc.value.span.column) == (3, len(member) + 4)
+    assert "duplicate" in str(exc.value)

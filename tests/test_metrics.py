@@ -147,3 +147,28 @@ def test_brute_force_sweep(rng):
         d = random_diagram(rng)
         validate(d)
         assert compute_metrics(d).as_dict() == metrics_brute(d)
+
+
+def _chain(kind, n, reverse):
+    """An n-class chain C0 -> C1 -> ... along the edge direction of kind.
+
+    The edges are declared from C0 on, or from the other end when reverse.
+    """
+    names = [f"C{i}" for i in range(n)]
+    edges = [Relationship(kind, names[i], names[i + 1]) for i in range(n - 1)]
+    if reverse:
+        edges.reverse()
+    return validate(ClassDiagram("chain", tuple(ClassDecl(c) for c in names), tuple(edges)))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in_order", "reversed"])
+@pytest.mark.parametrize(
+    "kind, metric, depth",
+    [(RelKind.GENERALIZATION, "MaxDIT", dit), (RelKind.AGGREGATION, "MaxHAgg", hagg)],
+    ids=["generalization", "aggregation"],
+)
+def test_deep_chain_has_no_recursion_limit(kind, metric, depth, reverse):
+    d = _chain(kind, 10**4, reverse)
+    assert compute_metrics(d)[metric] == 9999
+    assert depth(d, "C0") == 9999
+    assert depth(d, "C9999") == 0

@@ -172,3 +172,19 @@ def test_estimate_is_affine():
         }
         expected = alpha * estimate(PUBLISHED, v1) + (1 - alpha) * estimate(PUBLISHED, v2)
         assert estimate(PUBLISHED, blended) == pytest.approx(expected, abs=1e-12)
+
+
+def test_fit_ill_conditioned_design():
+    # NM tracks NA to within 1e-4: the design's condition number is about
+    # 2.1e6, which squares to about 4e12 in the normal equations.
+    rng = random.Random(0)
+    rows = []
+    for _ in range(200):
+        na = rng.uniform(0, 100)
+        nm = na + 1e-4 * rng.uniform(-1, 1)
+        rows.append((na, nm, 1 + 0.5 * na + 0.25 * nm))
+    model = fit(_samples(rows, ["NA", "NM"]), ["NA", "NM"])
+    assert model.intercept == pytest.approx(1.0, abs=1e-8)
+    weights = dict(model.coefficients)
+    assert weights["NA"] == pytest.approx(0.5, abs=1e-8)
+    assert weights["NM"] == pytest.approx(0.25, abs=1e-8)
