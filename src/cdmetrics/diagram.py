@@ -15,18 +15,11 @@ from .errors import (
     UnknownEndpoint,
 )
 
-IDENTIFIER_RE = r"[A-Za-z_][A-Za-z0-9_]*"
-
-
 class RelKind(Enum):
     ASSOCIATION = "association"
     AGGREGATION = "aggregation"
     DEPENDENCY = "dependency"
     GENERALIZATION = "generalization"
-
-
-# Kinds whose edge sets must be simple (no duplicate pairs) and acyclic.
-HIERARCHY_KINDS = (RelKind.AGGREGATION, RelKind.GENERALIZATION)
 
 
 @dataclass(frozen=True)

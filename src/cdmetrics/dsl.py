@@ -23,9 +23,11 @@ import re
 from dataclasses import dataclass
 
 from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship
-from .errors import DslSyntaxError
+from .errors import DiagramFormatError, DslSyntaxError
 
+# The one identifier grammar, for DSL tokens and structured-data names alike.
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_KINDS = {kind.value: kind for kind in RelKind}
 
 _ARROWS = {
     "assoc": ("--", RelKind.ASSOCIATION),
@@ -205,14 +207,61 @@ def to_dict(diagram: ClassDiagram) -> dict:
     }
 
 
-def from_dict(data: dict) -> ClassDiagram:
-    """Structured-data import; inverse of to_dict."""
-    classes = tuple(
-        ClassDecl(c["name"], tuple(c.get("attributes", ())), tuple(c.get("methods", ())))
-        for c in data.get("classes", ())
+def _check(value, kind: type, path: str = ""):
+    """value itself if it is a `kind`, else a DiagramFormatError at `path`."""
+    if isinstance(value, kind):
+        return value
+    raise DiagramFormatError(f"{path}: expected {kind.__name__}, got {value!r:.40}")
+
+
+def _ident(value, path: str) -> str:
+    if isinstance(value, str) and _IDENT.match(value):
+        return value
+    raise DiagramFormatError(f"{path}: expected an identifier, got {value!r:.40}")
+
+
+def _class_decl(obj) -> ClassDecl:
+    name = _ident(_check(obj, dict).get("name"), ".name")
+    members = [
+        tuple([_ident(n, path) for n in _check(obj.get(key, []), list, path)])
+        for key, path in (("attributes", ".attributes"), ("methods", ".methods"))
+    ]
+    try:
+        return ClassDecl(name, *members)
+    except ValueError as exc:  # a duplicate member name
+        raise DiagramFormatError(f": {exc}") from None
+
+
+def _relationship(obj) -> Relationship:
+    kind = _check(obj, dict).get("kind")
+    if not isinstance(kind, str) or kind.lower() not in _KINDS:
+        raise DiagramFormatError(f".kind: expected one of {', '.join(_KINDS)}, got {kind!r:.40}")
+    # Endpoints only need to be strings: validate() checks them against the classes.
+    return Relationship(_KINDS[kind.lower()], _check(obj.get("from"), str, ".from"),
+                        _check(obj.get("to"), str, ".to"))
+
+
+def _items(data: dict, key: str, build) -> tuple:
+    """build(item) for each item of data[key]; an error gets the item's path in front."""
+    items = []
+    for i, obj in enumerate(_check(data.get(key, []), list, key)):
+        try:
+            items.append(build(obj))
+        except DiagramFormatError as exc:
+            raise DiagramFormatError(f"{key}[{i}]{exc}") from None
+    return tuple(items)
+
+
+def from_dict(data) -> ClassDiagram:
+    """Structured-data import; inverse of to_dict.
+
+    A container or field of the wrong type, an unknown relationship kind, or
+    a name outside the DSL identifier grammar raises DiagramFormatError with
+    the field's path, such as ``classes[0].attributes``.
+    """
+    _check(data, dict, "diagram")
+    return ClassDiagram(
+        _ident(data.get("id", "unnamed"), "id"),
+        _items(data, "classes", _class_decl),
+        _items(data, "relationships", _relationship),
     )
-    relationships = tuple(
-        Relationship(RelKind(r["kind"].lower()), r["from"], r["to"])
-        for r in data.get("relationships", ())
-    )
-    return ClassDiagram(data.get("id", "unnamed"), classes, relationships)

@@ -1,6 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the file reader that raises them."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class CdmetricsError(Exception):
@@ -58,7 +60,11 @@ class DuplicateHierarchyEdge(DiagramError):
         super().__init__(f"duplicate {kind.value} edge {pair[0]} -> {pair[1]}")
 
 
-class DslSyntaxError(CdmetricsError):
+class DiagramFormatError(CdmetricsError):
+    """A diagram file that is unreadable, not UTF-8, or not a diagram's JSON."""
+
+
+class DslSyntaxError(DiagramFormatError):
     """Malformed DSL source; carries a 1-based line/column span."""
 
     def __init__(self, span, message: str):
@@ -101,3 +107,18 @@ class InvalidAlpha(ValidationInputError):
     def __init__(self, alpha: float):
         self.alpha = alpha
         super().__init__(f"alpha must be in (0, 0.5], got {alpha}")
+
+
+def read_file(path, error: type[CdmetricsError], decode=str):
+    """decode(the UTF-8 text of a file).  A file that cannot be read or decoded
+    raises `error`; decode's own errors get the file name in front."""
+    try:
+        return decode(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep
+        raise error(f"{path}: {exc}") from None
+    except CdmetricsError as exc:
+        # A DSL error's message starts with line:column, gcc-style.
+        exc.args = (f"{path}{':' if isinstance(exc, DslSyntaxError) else ': '}{exc}",)
+        raise

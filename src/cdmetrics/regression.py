@@ -59,7 +59,7 @@ class LinearModel:
                 (str(name), float(weight))
                 for name, weight in obj["coefficients"].items()
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ModelError(f"malformed model object: {exc}") from exc
         return cls(intercept, coefficients)
 

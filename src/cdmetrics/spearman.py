@@ -14,7 +14,7 @@ from typing import Sequence
 
 from scipy.stats import t as student_t
 
-from .errors import EmptyInput, InvalidAlpha, TooFewPairs
+from .errors import EmptyInput, InvalidAlpha, TooFewPairs, ValidationInputError
 
 
 class DifferenceMode(Enum):
@@ -29,7 +29,7 @@ class RatedPair:
 
     def __post_init__(self):
         if not (math.isfinite(self.known) and math.isfinite(self.computed)):
-            raise ValueError("pair values must be finite")
+            raise ValidationInputError("pair values must be finite")
 
 
 @dataclass(frozen=True)

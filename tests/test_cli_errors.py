@@ -1,0 +1,214 @@
+"""Malformed input of every kind ends in a typed error, its exit code and one
+stderr line that names the file at fault; never in a traceback.
+
+The fuzz test feeds generated text, bytes and JSON as diagrams, model files,
+fit corpora and validation corpora to every subcommand that reads a file
+(`reproduce` reads none).
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdmetrics.cli import main
+from cdmetrics.corpus import CorpusError, pair_from_row
+from cdmetrics.dsl import to_dict
+
+from .conftest import valid_diagrams
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _write(directory: Path, files: dict):
+    for name, content in files.items():
+        path = directory / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+
+
+GOOD_CORPUS = "id,known,computed\na,1,1\nb,2,2\nc,3,3\nd,4,4\n"
+
+# (files, argv, exit code, the file at fault): one case per malformed input
+# that used to end in a traceback, a wrong exit code or a wrong message.
+CASES = {
+    "json_unknown_kind": (
+        {"d.json": json.dumps({"classes": [{"name": "A"}, {"name": "B"}],
+                               "relationships": [{"kind": "inherits", "from": "A", "to": "B"}]})},
+        ["metrics", "d.json"], 2, "d.json"),
+    "json_top_level_list": ({"d.json": "[]"}, ["metrics", "d.json"], 2, "d.json"),
+    "json_missing_name": (
+        {"d.json": json.dumps({"classes": [{"attributes": []}]})},
+        ["metrics", "d.json"], 2, "d.json"),
+    "json_missing_to": (
+        {"d.json": json.dumps({"classes": [{"name": "A"}],
+                               "relationships": [{"kind": "association", "from": "A"}]})},
+        ["estimate", "d.json"], 2, "d.json"),
+    "json_duplicate_attributes": (
+        {"d.json": json.dumps({"classes": [{"name": "A", "attributes": ["x", "x"]}]})},
+        ["metrics", "d.json"], 2, "d.json"),
+    "json_integer_id": ({"d.json": json.dumps({"id": 5, "classes": []})},
+                        ["metrics", "d.json"], 2, "d.json"),
+    "json_attributes_string": (
+        {"d.json": json.dumps({"classes": [{"name": "A", "attributes": "abc"}]})},
+        ["metrics", "d.json"], 2, "d.json"),
+    "cd_not_utf8": ({"d.cd": b"class A {}\n\xff\n"}, ["metrics", "d.cd"], 2, "d.cd"),
+    "fit_corpus_infinite_predictor": ({"c.csv": "NA,rating\ninf,1\n1,2\n2,3\n"},
+                                      ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv"),
+    "fit_corpus_not_utf8": ({"c.csv": b"NA,rating\n1,2\n\xff,3\n"},
+                            ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv"),
+    "validate_row_without_value": (
+        {"v.csv": "id,known,computed\na,1,\nb,2,2\n"}, ["validate", "v.csv"], 4, "v.csv:2:"),
+    "validate_non_finite_computed": ({"v.csv": "id,known,computed\na,1,inf\nb,2,2\n"},
+                                     ["validate", "v.csv"], 4, "v.csv"),
+    "validate_missing_known": ({"v.csv": "id,computed\na,1\nb,2\n"},
+                               ["validate", "v.csv"], 4, "v.csv"),
+    "validate_bad_model": (
+        {"v.csv": GOOD_CORPUS, "m.model": "{bad"},
+        ["validate", "v.csv", "--model", "m.model"], 4, "m.model"),
+    "validate_dsl_error_in_named_diagram": (
+        {"v.csv": "id,known,diagram\na,1,bad.cd\nb,2,bad.cd\n", "bad.cd": "clazz A\n"},
+        ["validate", "v.csv"], 2, "bad.cd:1:1:"),
+    "validate_cycle_in_named_diagram": (
+        {"v.csv": "id,known,diagram\na,1,c.cd\nb,2,c.cd\n",
+         "c.cd": "class A {}\nclass B {}\ngen A => B\ngen B => A\n"},
+        ["validate", "v.csv"], 3, "c.cd"),
+    "json_nested_too_deep": ({"d.json": "[" * 100_000 + "]" * 100_000},
+                             ["metrics", "d.json"], 2, "d.json"),
+    "model_number_too_large": (
+        {"m.model": '{"intercept": 1' + "0" * 400 + ', "coefficients": {}}', "e.cd": "class A {}"},
+        ["estimate", "--model", "m.model", "e.cd"], 4, "m.model"),
+    "corpus_row_longer_than_header": ({"c.csv": "NA,rating\n1,2\n3,4,5\n"},
+                                      ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv:3:"),
+    "corpus_field_too_large": ({"c.csv": "NA,rating\n1,2\n" + "1" * 200_000 + ",3\n"},
+                               ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv:3:"),
+    "metrics_every_input_failed": ({"bad.cd": "clazz A\n"}, ["metrics", "bad.cd"], 2, "bad.cd"),
+    "estimate_every_input_failed": ({"bad.cd": "clazz A\n"}, ["estimate", "bad.cd"], 2, "bad.cd"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_malformed_input_is_one_line_naming_the_file_once(tmp_path, monkeypatch, case):
+    files, argv, code, fault = CASES[case]
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, files)
+    got, out, err = _run(argv)
+    assert got == code, err
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(fault) and err.count(fault.split(":")[0]) == 1
+    others = [name for name in files if name not in fault]
+    assert all(name not in err for name in others), err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_tolerance_out_of_range_is_usage_error(tolerance):
+    code, out, err = _run(["reproduce", "--tolerance", tolerance])
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "--tolerance" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_known_is_corpus_error_naming_the_column(value):
+    with pytest.raises(CorpusError, match="'known'"):
+        pair_from_row({"known": value}, 1.0, "v.csv")
+
+
+# --- fuzzing ----------------------------------------------------------------
+
+NAMES = ["A", "B", "C", "x", "association", "aggregation", "generalization",
+         "dependency", "NA", "NM", "9x", ""]
+KEYS = ["id", "classes", "relationships", "name", "attributes", "methods", "kind",
+        "from", "to", "intercept", "coefficients", "NA", "NM"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(NAMES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=24,
+)
+DSL_LINES = ["diagram d", "class A {}", "class B {", "class C { attr y }", "attr x",
+             "method m", "}", "gen A => B", "gen B => A", "agg A o- B", "assoc A -- C",
+             "dep C -> A", "gen A =>", "class 9 {}"]
+ODD_CELLS = ["2.5", "1e308", "inf", "nan", "", "x", '"']
+
+texts = st.text(max_size=40)
+raw = st.binary(max_size=40)
+dsl_sources = st.lists(st.sampled_from(DSL_LINES), max_size=8).map("\n".join)
+json_sources = json_values.map(json.dumps) | valid_diagrams().map(lambda d: json.dumps(to_dict(d)))
+model_sources = st.fixed_dictionaries({
+    "intercept": st.integers(-3, 3) | st.floats() | json_values,
+    "coefficients": st.dictionaries(st.sampled_from(["NA", "NM", "NAssoc", "x"]), st.floats()),
+}).map(json.dumps)
+
+
+@st.composite
+def csv_sources(draw, required, optional):
+    """A delimited table of the required columns and some optional ones,
+    well formed or with one kind of flaw."""
+    flaw = draw(st.sampled_from([None, None, "no column", "odd cells", "ragged rows"]))
+    header = required + draw(st.lists(st.sampled_from(optional), unique=True))
+    header = draw(st.permutations(header[flaw == "no column":]))
+    numbers = [str(i) for i in range(-3, 10)]
+    if flaw == "odd cells":
+        numbers += ODD_CELLS
+    cells = {name: st.sampled_from(numbers) for name in header}
+    if "diagram" in header:
+        cells.update(diagram=st.sampled_from(["d.cd", "d.json", "nowhere.cd", ""]),
+                     computed=st.sampled_from(numbers + [""]))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(cells[name]) for name in header]
+        if flaw == "ragged rows":
+            row = draw(st.sampled_from([row, row[:-1], row + ["1"]]))
+        rows.append(row)
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    return "\n".join(delimiter.join(row) for row in [header, *rows])
+
+
+fit_corpora = csv_sources(["rating", "NA", "NM"], ["MaxDIT"])
+validation_corpora = csv_sources(["known", "computed"], ["id", "diagram"])
+
+COMMANDS = [
+    ["metrics", "d.cd"],
+    ["--format", "csv", "metrics", "d.json"],
+    ["estimate", "--model", "m.model", "d.cd", "d.json"],
+    ["fit", "fit.csv", "--predictors", "NA,NM"],
+    ["validate", "v.csv", "--model", "m.model"],
+    ["--format", "csv", "validate", "--mode", "value", "v.csv"],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({
+    "d.cd": st.one_of(dsl_sources, dsl_sources, texts, raw),
+    "d.json": st.one_of(json_sources, json_sources, texts, raw),
+    "m.model": st.one_of(model_sources, model_sources, json_sources, texts, raw),
+    "fit.csv": st.one_of(fit_corpora, fit_corpora, texts, raw),
+    "v.csv": st.one_of(validation_corpora, validation_corpora, texts, raw),
+}))
+def test_fuzzed_inputs_never_end_in_a_traceback(files):
+    with tempfile.TemporaryDirectory() as directory:
+        _write(Path(directory), files)
+        for argv in COMMANDS:
+            argv = [str(Path(directory) / a) if "." in a else a for a in argv]
+            code, out, err = _run(argv)
+            assert code in {0, 2, 3, 4}, (argv, err)
+            assert "Traceback" not in err
+            if code != 0 and "metrics" not in argv and "estimate" not in argv:
+                assert out == "" and err.count("\n") == 1, (argv, err)

@@ -3,7 +3,7 @@ from hypothesis import given
 
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship
 from cdmetrics.dsl import from_dict, parse, serialize, to_dict
-from cdmetrics.errors import DslSyntaxError
+from cdmetrics.errors import DiagramFormatError, DslSyntaxError
 
 from .conftest import valid_diagrams
 
@@ -116,3 +116,22 @@ def test_duplicate_member_is_syntax_error_at_duplicate(member):
         parse(f"class A {{\n  {member} x\n  {member} x\n}}\n")
     assert (exc.value.span.line, exc.value.span.column) == (3, len(member) + 4)
     assert "duplicate" in str(exc.value)
+
+
+@pytest.mark.parametrize("obj,path", [
+    ([], "diagram"),
+    ({"id": 5}, "id"),
+    ({"classes": "A"}, "classes"),
+    ({"classes": [5]}, "classes[0]"),
+    ({"classes": [{"name": "A", "attributes": "abc"}]}, "classes[0].attributes"),
+    ({"classes": [{"name": "A"}, {"name": "B", "methods": ["9x"]}]}, "classes[1].methods"),
+    ({"classes": [{"name": "a b"}]}, "classes[0].name"),
+    ({"classes": [{"name": "A", "attributes": ["x", "x"]}]}, "classes[0]"),
+    ({"relationships": [{"kind": "inherits", "from": "A", "to": "B"}]}, "relationships[0].kind"),
+    ({"relationships": [{"kind": "association", "from": 1, "to": "B"}]}, "relationships[0].from"),
+    ({"relationships": [{"kind": "dependency", "from": "A"}]}, "relationships[0].to"),
+])
+def test_structured_schema_error_names_field_path(obj, path):
+    with pytest.raises(DiagramFormatError) as exc:
+        from_dict(obj)
+    assert str(exc.value).startswith(f"{path}: ")
