@@ -125,6 +125,14 @@ def _load_model(path: str | None) -> LinearModel:
     return read_file(path, ModelError, lambda text: LinearModel.from_json_obj(json.loads(text)))
 
 
+def _estimate(model: LinearModel, model_path: str | None, metrics) -> float:
+    """The model's estimate; one that overflows is the fault of the model file."""
+    value = estimate(model, metrics)
+    if not math.isfinite(value):
+        raise ModelError(f"{model_path}: model gives a non-finite estimate ({value})")
+    return value
+
+
 def _per_file(paths, record):
     """record(path, diagram) for each good diagram file; the worst exit code wins."""
     records, exit_code = [], EXIT_OK
@@ -149,7 +157,7 @@ def _cmd_estimate(args):
     def record(path, diagram):
         vec = compute_metrics(diagram)
         return {"file": path, "id": diagram.id, "metrics": {p: vec[p] for p in model.predictors()},
-                "estimate": estimate(model, vec)}
+                "estimate": _estimate(model, args.model, vec)}
 
     return _per_file(args.paths, record)
 
@@ -165,7 +173,7 @@ def _cmd_validate(args):
     base = Path(args.corpus).parent
     pairs = corpus_io.validation_pairs(
         read_file(args.corpus, corpus_io.CorpusError), args.corpus,
-        lambda name: estimate(model, compute_metrics(_load_diagram(base / name))),
+        lambda name: _estimate(model, args.model, compute_metrics(_load_diagram(base / name))),
     )
     report = spearman(pairs, DifferenceMode(args.mode), alpha=args.alpha)
     critical = report.critical_value

@@ -25,9 +25,11 @@ def _read_rows(text: str, where: str) -> tuple[list[str], list[dict[str, str]], 
     """Header names, the records, and the line each record ends on."""
     try:
         dialect = csv.Sniffer().sniff(text[:4096], delimiters=",;\t")
-    except csv.Error:
+        delimiter = dialect.delimiter
+    except csv.Error:  # a ragged row, say: split as the header line is split
         dialect = csv.excel
-    reader = csv.DictReader(io.StringIO(text), dialect=dialect)
+        delimiter = max(",;\t", key=text.partition("\n")[0].count)
+    reader = csv.DictReader(io.StringIO(text), dialect=dialect, delimiter=delimiter)
     rows, lines = [], []
     try:
         if not reader.fieldnames:

@@ -43,6 +43,9 @@ def _write(directory: Path, files: dict):
 
 
 GOOD_CORPUS = "id,known,computed\na,1,1\nb,2,2\nc,3,3\nd,4,4\n"
+# Finite weights whose estimate for two attributes overflows to inf.
+OVERFLOWING_MODEL = json.dumps({"intercept": 1e308, "coefficients": {"NA": 1e308}})
+TWO_ATTRIBUTES = "class A {\n  attr x\n  attr y\n}\n"
 
 # (files, argv, exit code, the file at fault): one case per malformed input
 # that used to end in a traceback, a wrong exit code or a wrong message.
@@ -97,6 +100,19 @@ CASES = {
                                       ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv:3:"),
     "corpus_field_too_large": ({"c.csv": "NA,rating\n1,2\n" + "1" * 200_000 + ",3\n"},
                                ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv:3:"),
+    "corpus_tab_separated_row_longer_than_header": (
+        {"c.tsv": "NM\tNA\trating\n1\t7\t0\n-2\t0\t8\t5\n9\t9\t-2\n4\t1\t3\n"},
+        ["fit", "c.tsv", "--predictors", "NM,NA"], 4, "c.tsv:3: more fields than the header"),
+    "corpus_semicolon_separated_row_longer_than_header": (
+        {"c.csv": "NM;NA;rating\n1;7;0\n-2;0;8;5\n9;9;-2\n4;1;3\n"},
+        ["fit", "c.csv", "--predictors", "NM,NA"], 4, "c.csv:3: more fields than the header"),
+    "estimate_model_overflows": (
+        {"m.model": OVERFLOWING_MODEL, "e.cd": TWO_ATTRIBUTES},
+        ["estimate", "--model", "m.model", "e.cd"], 4, "m.model: model gives a non-finite"),
+    "validate_model_overflows": (
+        {"v.csv": "id,known,diagram\na,1,e.cd\nb,2,e.cd\n", "m.model": OVERFLOWING_MODEL,
+         "e.cd": TWO_ATTRIBUTES},
+        ["validate", "v.csv", "--model", "m.model"], 4, "m.model: model gives a non-finite"),
     "metrics_every_input_failed": ({"bad.cd": "clazz A\n"}, ["metrics", "bad.cd"], 2, "bad.cd"),
     "estimate_every_input_failed": ({"bad.cd": "clazz A\n"}, ["estimate", "bad.cd"], 2, "bad.cd"),
 }

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,6 +13,7 @@ from cdmetrics.errors import EmptyInput, InvalidAlpha, TooFewPairs
 from cdmetrics.spearman import (
     DifferenceMode,
     RatedPair,
+    _t_ppf,
     ranks_with_ties,
     significance,
     spearman,
@@ -98,6 +103,53 @@ def test_significance_input_checks():
         significance(0.5, 28, 0.7)
     with pytest.raises(TooFewPairs):
         significance(0.5, 3, 0.05)
+
+
+# --- the t quantile, against scipy as the oracle --------------------------------
+
+GRID_N = [*range(4, 31), 100, 10**3, 10**4, 10**5, 10**6]
+GRID_ALPHA = [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5]
+
+
+def _scipy_quantile(alpha, n):
+    """The quantile the threshold used to take from scipy, which the package
+    no longer imports."""
+    from scipy.stats import t as student_t
+
+    return float(student_t.ppf(1 - alpha / 2, n - 2))
+
+
+@pytest.mark.parametrize("alpha", GRID_ALPHA)
+def test_quantile_and_critical_value_match_scipy_on_grid(alpha):
+    for n in GRID_N:
+        t = _scipy_quantile(alpha, n)
+        assert _t_ppf(1 - alpha / 2, n - 2) == pytest.approx(t, rel=1e-9), n
+        critical, _ = significance(0.0, n, alpha)
+        assert critical == pytest.approx(t / math.sqrt(n - 2 + t * t), rel=1e-9), n
+
+
+@given(st.integers(4, 10**6), st.floats(1e-6, 0.5))
+def test_quantile_matches_scipy(n, alpha):
+    assert _t_ppf(1 - alpha / 2, n - 2) == pytest.approx(_scipy_quantile(alpha, n), rel=1e-9)
+
+
+def test_alpha_below_float_resolution_gives_no_threshold():
+    # 1 - alpha/2 rounds to 1: the quantile is infinite, as scipy's was.
+    critical, significant = significance(1.0, 28, 1e-17)
+    assert math.isnan(critical) and not significant
+
+
+def test_cli_and_significance_import_neither_scipy_nor_numpy():
+    code = ("import sys, cdmetrics.cli\n"
+            "from cdmetrics.spearman import significance\n"
+            "significance(0.5, 28, 0.05)\n"
+            "print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 @given(
