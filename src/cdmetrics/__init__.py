@@ -1,59 +1,3 @@
 """Class-diagram design metrics, understandability estimation, and validation."""
 
-from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship, validate
-from .dsl import SourceSpan, from_dict, parse, serialize, to_dict
-from .metrics import (
-    METRIC_NAMES,
-    MetricsVector,
-    compute_metrics,
-    count_hierarchies,
-    dit,
-    hagg,
-)
-from .regression import (
-    PUBLISHED_UNDERSTANDABILITY_MODEL,
-    LinearModel,
-    RatedSample,
-    estimate,
-    fit,
-)
-from .spearman import (
-    DifferenceMode,
-    RatedPair,
-    ValidationReport,
-    ranks_with_ties,
-    significance,
-    spearman,
-)
-
-__all__ = [
-    "ClassDecl",
-    "ClassDiagram",
-    "RelKind",
-    "Relationship",
-    "validate",
-    "SourceSpan",
-    "parse",
-    "serialize",
-    "to_dict",
-    "from_dict",
-    "METRIC_NAMES",
-    "MetricsVector",
-    "compute_metrics",
-    "count_hierarchies",
-    "dit",
-    "hagg",
-    "PUBLISHED_UNDERSTANDABILITY_MODEL",
-    "LinearModel",
-    "RatedSample",
-    "estimate",
-    "fit",
-    "DifferenceMode",
-    "RatedPair",
-    "ValidationReport",
-    "ranks_with_ties",
-    "significance",
-    "spearman",
-]
-
 __version__ = "0.1.0"

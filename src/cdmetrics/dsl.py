@@ -12,9 +12,10 @@ Grammar (one construct per line, ``#`` starts a comment, blank lines ignored)::
     dep <A> -> <B>
     gen <Child> => <Parent>
 
-Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  A class body's closing ``}``
-may stand alone on its line, follow the last body entry, or close an empty
-body on the ``class`` line itself (``class A {}``).
+Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  A class body's first entry
+may follow the ``{`` on the ``class`` line, and its closing ``}`` may stand
+alone on its line, follow the last body entry, or close an empty body on the
+``class`` line itself (``class A {}``).
 """
 
 from __future__ import annotations
@@ -48,123 +49,108 @@ class SourceSpan:
 
 
 class _Line:
-    """One source line split into whitespace tokens with 1-based columns."""
+    """A non-blank source line as whitespace tokens; only `fail` needs their columns."""
 
-    def __init__(self, number: int, raw: str):
+    def __init__(self, number: int, code: str):
         self.number = number
-        code = raw.split("#", 1)[0]
-        self.tokens = [
-            (m.start() + 1, m.group()) for m in re.finditer(r"\S+", code)
-        ]
-
-    def span(self, index: int) -> SourceSpan:
-        if index < len(self.tokens):
-            return SourceSpan(self.number, self.tokens[index][0])
-        # point just past the last token for "missing token" errors
-        if self.tokens:
-            col, tok = self.tokens[-1]
-            return SourceSpan(self.number, col + len(tok))
-        return SourceSpan(self.number, 1)
+        self.code = code
+        self.tokens = code.split()
 
     def fail(self, index: int, message: str):
-        raise DslSyntaxError(self.span(index), message)
+        starts = [m.start() + 1 for m in re.finditer(r"\S+", self.code)]
+        if index < len(starts):
+            column = starts[index]
+        else:  # just past the last token, for "missing token" errors
+            column = starts[-1] + len(self.tokens[-1])
+        raise DslSyntaxError(SourceSpan(self.number, column), message)
 
     def ident(self, index: int, what: str) -> str:
         if index >= len(self.tokens):
             self.fail(index, f"expected {what}")
-        token = self.tokens[index][1]
+        token = self.tokens[index]
         if not _IDENT.match(token):
             self.fail(index, f"illegal identifier {token!r} for {what}")
         return token
 
     def expect(self, index: int, literal: str, what: str):
-        if index >= len(self.tokens) or self.tokens[index][1] != literal:
+        if index >= len(self.tokens) or self.tokens[index] != literal:
             self.fail(index, f"expected {what} {literal!r}")
 
     def end(self, index: int):
         if index < len(self.tokens):
-            self.fail(index, f"unexpected token {self.tokens[index][1]!r}")
+            self.fail(index, f"unexpected token {self.tokens[index]!r}")
 
 
 def parse(source: str) -> ClassDiagram:
-    """Parse DSL text into an (unvalidated) ClassDiagram in declaration order."""
-    lines = [
-        _Line(i, raw) for i, raw in enumerate(source.splitlines(), start=1)
-    ]
-    lines = [ln for ln in lines if ln.tokens]
+    """Parse DSL text into an (unvalidated) ClassDiagram in declaration order.
 
-    diagram_id = "unnamed"
+    One pass over the lines: each non-blank line is a top-level construct, or
+    a body entry while a class body is open.
+    """
+    diagram_id = None
     classes: list[ClassDecl] = []
     relationships: list[Relationship] = []
+    body = None  # (name, attributes, methods) of the class whose body is open
 
-    pos = 0
-    if lines and lines[0].tokens[0][1] == "diagram":
-        header = lines[0]
-        diagram_id = header.ident(1, "diagram name")
-        header.end(2)
-        pos = 1
-
-    while pos < len(lines):
-        line = lines[pos]
-        keyword = line.tokens[0][1]
-        if keyword == "class":
-            name = line.ident(1, "class name")
-            tail = [t for _, t in line.tokens[2:]]
-            attrs: list[str] = []
-            methods: list[str] = []
-
-            def body_entry(entry_line: _Line, start: int) -> bool:
-                """Consume one body entry from token `start` on; True if } seen."""
-                head = entry_line.tokens[start][1]
-                if head == "}":
-                    entry_line.end(start + 1)
-                    return True
-                if head not in ("attr", "method"):
-                    entry_line.fail(
-                        start,
-                        f"expected 'attr', 'method' or '}}' in class body, got {head!r}",
-                    )
-                member = entry_line.ident(start + 1, f"{head} name")
-                members = attrs if head == "attr" else methods
-                if member in members:
-                    entry_line.fail(
-                        start + 1, f"duplicate {head} name {member!r} in class {name!r}"
-                    )
-                members.append(member)
-                rest = [t for _, t in entry_line.tokens[start + 2:]]
-                if rest == ["}"]:
-                    return True
-                entry_line.end(start + 2)
-                return False
-
-            if tail[:1] == ["{}"]:
-                line.end(3)
-                classes.append(ClassDecl(name))
-                pos += 1
+    for number, raw in enumerate(source.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
+        if not code.strip():
+            continue
+        line = _Line(number, code)
+        tokens = line.tokens
+        start = 0  # the token a body entry begins at
+        if body is None:
+            keyword = tokens[0]
+            if keyword == "class":
+                name = line.ident(1, "class name")
+                if tokens[2:3] == ["{}"]:
+                    line.end(3)
+                    classes.append(ClassDecl(name))
+                    continue
+                line.expect(2, "{", "class body opener")
+                body = (name, [], [])
+                start = 3
+                if len(tokens) == start:
+                    continue
+            elif keyword in _ARROWS:
+                arrow, kind = _ARROWS[keyword]
+                left = line.ident(1, "class name")
+                line.expect(2, arrow, "arrow")
+                right = line.ident(3, "class name")
+                line.end(4)
+                relationships.append(Relationship(kind, left, right))
                 continue
-            line.expect(2, "{", "class body opener")
-            closed = bool(tail[1:]) and body_entry(line, 3)
-            pos += 1
-            while not closed and pos < len(lines):
-                closed = body_entry(lines[pos], 0)
-                pos += 1
-            if not closed:
-                lines[-1].fail(len(lines[-1].tokens), f"unterminated body of class {name!r}")
-            classes.append(ClassDecl(name, tuple(attrs), tuple(methods)))
-        elif keyword in _ARROWS:
-            arrow, kind = _ARROWS[keyword]
-            left = line.ident(1, "class name")
-            line.expect(2, arrow, "arrow")
-            right = line.ident(3, "class name")
-            line.end(4)
-            relationships.append(Relationship(kind, left, right))
-            pos += 1
-        elif keyword == "diagram":
-            line.fail(0, "'diagram' header allowed only as the first construct")
-        else:
-            line.fail(0, f"unknown keyword {keyword!r}")
+            elif keyword == "diagram" and not (diagram_id or classes or relationships):
+                diagram_id = line.ident(1, "diagram name")
+                line.end(2)
+                continue
+            elif keyword == "diagram":
+                line.fail(0, "'diagram' header allowed only as the first construct")
+            else:
+                line.fail(0, f"unknown keyword {keyword!r}")
 
-    return ClassDiagram(diagram_id, tuple(classes), tuple(relationships))
+        name, attrs, methods = body
+        head = tokens[start]
+        if head in ("attr", "method"):
+            member = line.ident(start + 1, f"{head} name")
+            members = attrs if head == "attr" else methods
+            if member in members:
+                line.fail(start + 1, f"duplicate {head} name {member!r} in class {name!r}")
+            members.append(member)
+            if tokens[start + 2:] != ["}"]:
+                line.end(start + 2)
+                continue
+        elif head == "}":
+            line.end(start + 1)
+        else:
+            line.fail(start, f"expected 'attr', 'method' or '}}' in class body, got {head!r}")
+        classes.append(ClassDecl(name, tuple(attrs), tuple(methods)))
+        body = None
+
+    if body is not None:
+        # `line` is the last non-blank line
+        line.fail(len(line.tokens), f"unterminated body of class {body[0]!r}")
+    return ClassDiagram(diagram_id or "unnamed", tuple(classes), tuple(relationships))
 
 
 def serialize(diagram: ClassDiagram) -> str:

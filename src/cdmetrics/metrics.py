@@ -13,20 +13,6 @@ from dataclasses import dataclass, fields
 from .diagram import ClassDiagram, RelKind, longest_paths
 from .errors import UnknownClass
 
-METRIC_NAMES = (
-    "NC",
-    "NA",
-    "NM",
-    "NAssoc",
-    "NAgg",
-    "NDep",
-    "NGen",
-    "NAggH",
-    "NGenH",
-    "MaxHAgg",
-    "MaxDIT",
-)
-
 
 @dataclass(frozen=True)
 class MetricsVector:
@@ -55,6 +41,9 @@ class MetricsVector:
         if name not in METRIC_NAMES:
             raise KeyError(name)
         return getattr(self, name)
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricsVector))
 
 
 def _depth_metric(diagram: ClassDiagram, cls: str, kind: RelKind) -> int:

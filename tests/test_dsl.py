@@ -118,6 +118,43 @@ def test_duplicate_member_is_syntax_error_at_duplicate(member):
     assert "duplicate" in str(exc.value)
 
 
+@pytest.mark.parametrize("source,line,column,message", [
+    ("class A { attr x } junk\n", 1, 18, "unexpected token '}'"),
+    ("class A { } junk\n", 1, 13, "unexpected token 'junk'"),
+    ("class A {\n  class B {}\n}\n", 2, 3, "in class body, got 'class'"),
+    ("class A {}\n}\n", 2, 1, "unknown keyword '}'"),
+    ("class A {\n  attr x y\n}\n", 2, 10, "unexpected token 'y'"),
+    ("\tclass\tA\t{}\tjunk\n", 1, 13, "unexpected token 'junk'"),
+    ("class A {\n\tattr\t9x\n}\n", 2, 7, "illegal identifier '9x'"),
+    ("class A {# note\n", 1, 10, "unterminated body of class 'A'"),
+    ("class A {\n  attr x\n\n# trailing\n   \n", 2, 9, "unterminated body of class 'A'"),
+])
+def test_body_form_error_spans(source, line, column, message):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(source)
+    assert (exc.value.span.line, exc.value.span.column) == (line, column)
+    assert message in str(exc.value)
+
+
+def _one_line_bodies(d: ClassDiagram) -> str:
+    """DSL for d with each body's first entry on its class line and } after its last."""
+    out = [f"diagram {d.id}"]
+    for cls in d.classes:
+        entries = [f"attr {a}" for a in cls.attributes] + [f"method {m}" for m in cls.methods]
+        body = [f"class {cls.name} {{ {entries[0] if entries else ''}", *entries[1:]]
+        body[-1] += " }"
+        out.extend(body)
+    forms = {RelKind.ASSOCIATION: "assoc {} -- {}", RelKind.AGGREGATION: "agg {} o- {}",
+             RelKind.DEPENDENCY: "dep {} -> {}", RelKind.GENERALIZATION: "gen {} => {}"}
+    out.extend(forms[rel.kind].format(rel.source, rel.target) for rel in d.relationships)
+    return "\n".join(out) + "\n"
+
+
+@given(valid_diagrams())
+def test_one_line_body_forms(d):
+    assert parse(_one_line_bodies(d)) == parse(serialize(d))
+
+
 @pytest.mark.parametrize("obj,path", [
     ([], "diagram"),
     ({"id": 5}, "id"),

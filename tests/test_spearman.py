@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,14 @@ def test_cli_and_significance_import_neither_scipy_nor_numpy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_submodule_import_binds_the_module():
+    # The package root exports no names that could shadow its submodules.
+    import cdmetrics.spearman as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.spearman is spearman
 
 
 @given(
