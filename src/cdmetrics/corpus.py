@@ -21,27 +21,49 @@ class CorpusError(CdmetricsError):
     """Malformed corpus file."""
 
 
-def _read_rows(text: str, where: str) -> tuple[list[str], list[dict[str, str]], list[int]]:
-    """Header names, the records, and the line each record ends on."""
+def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str | None]], list[int]]:
+    """Header names, the records, and the line each record ends on.
+
+    Names and fields are stripped; blank lines are skipped, and a record
+    shorter than the header is padded with None.
+    """
     try:
         dialect = csv.Sniffer().sniff(text[:4096], delimiters=",;\t")
         delimiter = dialect.delimiter
     except csv.Error:  # a ragged row, say: split as the header line is split
         dialect = csv.excel
         delimiter = max(",;\t", key=text.partition("\n")[0].count)
-    reader = csv.DictReader(io.StringIO(text), dialect=dialect, delimiter=delimiter)
-    rows, lines = [], []
+    reader = csv.reader(io.StringIO(text), dialect=dialect, delimiter=delimiter)
+    records, lines = [], []
+    line, skipped = 0, False  # the last record's line; blank lines since it
     try:
-        if not reader.fieldnames:
+        header = next(reader, None)
+        if not header:
             raise CorpusError(f"{where}: empty corpus")
-        for row in reader:
-            if None in row:
-                raise CorpusError(f"{where}:{reader.line_num}: more fields than the header")
-            rows.append({k.strip(): v.strip() if v else v for k, v in row.items()})
-            lines.append(reader.line_num)
-    except csv.Error as exc:  # line_num is still that of the last good record
-        raise CorpusError(f"{where}:{reader.line_num + 1}: {exc}") from None
-    return [name.strip() for name in reader.fieldnames], rows, lines
+        names = [name.strip() for name in header]
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise CorpusError(f"{where}: duplicate column {name!r}")
+            seen.add(name)
+        width, line = len(names), reader.line_num
+        for fields in reader:
+            if not fields:
+                skipped = True
+                continue
+            line, skipped = reader.line_num, False
+            if len(fields) > width:
+                raise CorpusError(f"{where}:{line}: more fields than the header")
+            fields = list(map(str.strip, fields))
+            if len(fields) < width:
+                fields += [None] * (width - len(fields))
+            records.append(fields)
+            lines.append(line)
+    except csv.Error as exc:
+        # The reader is past the failing record; name the line after the last
+        # good record, or after the first blank line that follows it.
+        raise CorpusError(f"{where}:{line + 1 + skipped}: {exc}") from None
+    return names, records, lines
 
 
 def _number(row: dict, column: str, where: str) -> float:
@@ -55,19 +77,27 @@ def _number(row: dict, column: str, where: str) -> float:
 
 
 def load_rating_corpus(path: str | Path) -> list[RatedSample]:
-    """Fit corpus: predictor columns plus a final `rating` column."""
+    """Fit corpus: predictor columns plus a `rating` column, in any order."""
     where = str(path)
-    fieldnames, rows, _ = _read_rows(read_file(path, CorpusError), where)
-    if "rating" not in fieldnames:
+    names, records, _ = _read_rows(read_file(path, CorpusError), where)
+    if "rating" not in names:
         raise CorpusError(f"{where}: missing 'rating' column")
-    predictors = [name for name in fieldnames if name != "rating"]
+    at = names.index("rating")
+    predictors = names[:at] + names[at + 1:]
     samples = []
     try:
-        for row in rows:
-            samples.append(RatedSample(
-                predictors={p: _number(row, p, where) for p in predictors},
-                rating=_number(row, "rating", where),
-            ))
+        for fields in records:
+            try:
+                values = list(map(float, fields))
+            except (TypeError, ValueError):  # a missing, empty or non-numeric cell
+                values = [math.nan]
+            if not all(map(math.isfinite, values)):
+                # Name the first bad cell: predictors in header order, then rating.
+                row = dict(zip(names, fields))
+                for column in (*predictors, "rating"):
+                    _number(row, column, where)
+            rating = values.pop(at)
+            samples.append(RatedSample(predictors=dict(zip(predictors, values)), rating=rating))
     except ModelError as exc:  # a predictor column that names no metric
         raise CorpusError(f"{where}: {exc}") from None
     return samples
@@ -75,14 +105,17 @@ def load_rating_corpus(path: str | Path) -> list[RatedSample]:
 
 def parse_validation_rows(text: str, where: str) -> list[dict[str, str]]:
     """Validation corpus rows: id plus known, and a computed or a diagram value."""
-    fieldnames, rows, lines = _read_rows(text, where)
-    if "known" not in fieldnames:
+    names, records, lines = _read_rows(text, where)
+    if "known" not in names:
         raise CorpusError(f"{where}: missing 'known' column")
-    if "computed" not in fieldnames and "diagram" not in fieldnames:
+    if "computed" not in names and "diagram" not in names:
         raise CorpusError(f"{where}: need a 'computed' or 'diagram' column")
-    for row, line in zip(rows, lines):
+    rows = []
+    for fields, line in zip(records, lines):
+        row = dict(zip(names, fields))
         if not (row.get("computed") or row.get("diagram")):
             raise CorpusError(f"{where}:{line}: need a 'computed' or 'diagram' value")
+        rows.append(row)
     return rows
 
 

@@ -92,7 +92,11 @@ def parse(source: str) -> ClassDiagram:
     relationships: list[Relationship] = []
     body = None  # (name, attributes, methods) of the class whose body is open
 
-    for number, raw in enumerate(source.splitlines(), start=1):
+    # Lines end at \n, \r\n or \r only, as an editor counts them; str.split()
+    # takes other breaks, such as a form feed or U+2028, as whitespace.
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    for number, raw in enumerate(source.split("\n"), start=1):
         code = raw.split("#", 1)[0]
         if not code.strip():
             continue
@@ -137,9 +141,10 @@ def parse(source: str) -> ClassDiagram:
             if member in members:
                 line.fail(start + 1, f"duplicate {head} name {member!r} in class {name!r}")
             members.append(member)
-            if tokens[start + 2:] != ["}"]:
+            if tokens[start + 2:start + 3] != ["}"]:
                 line.end(start + 2)
                 continue
+            line.end(start + 3)
         elif head == "}":
             line.end(start + 1)
         else:

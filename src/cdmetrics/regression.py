@@ -19,6 +19,8 @@ from typing import Mapping, Sequence
 from .errors import InsufficientSamples, ModelError, SingularDesign
 from .metrics import METRIC_NAMES, MetricsVector
 
+_METRIC_SET = frozenset(METRIC_NAMES)
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -35,7 +37,7 @@ class LinearModel:
         names = [name for name, _ in self.coefficients]
         if len(set(names)) != len(names):
             raise ModelError("duplicate metric name in coefficients")
-        unknown = set(names) - set(METRIC_NAMES)
+        unknown = set(names) - _METRIC_SET
         if unknown:
             raise ModelError(f"unknown metric name(s): {sorted(unknown)}")
         for value in (self.intercept, *(w for _, w in self.coefficients)):
@@ -82,7 +84,7 @@ class RatedSample:
         object.__setattr__(self, "rating", float(self.rating))
         if not math.isfinite(self.rating):
             raise ModelError("rating must be finite")
-        unknown = set(self.predictors) - set(METRIC_NAMES)
+        unknown = self.predictors.keys() - _METRIC_SET
         if unknown:
             raise ModelError(f"unknown metric name(s): {sorted(unknown)}")
 
@@ -104,18 +106,18 @@ def fit(samples: Sequence[RatedSample], predictors: Sequence[str]) -> LinearMode
     needed = len(predictors) + 1
     if len(samples) < needed:
         raise InsufficientSamples(needed, len(samples))
+    wanted = set(predictors)
     for sample in samples:
-        missing = set(predictors) - set(sample.predictors)
-        if missing:
+        if not sample.predictors.keys() >= wanted:
+            missing = wanted - sample.predictors.keys()
             raise ModelError(f"sample missing predictor(s): {sorted(missing)}")
 
     # Imported here, not at module level, so that the `metrics` and `estimate`
     # paths do not pay numpy's import time at start-up.
     import numpy as np
 
-    design = np.array(
-        [[1.0, *(float(s.predictors[p]) for p in predictors)] for s in samples]
-    )
+    design = np.ones((len(samples), needed))
+    design[:, 1:] = [[s.predictors[p] for p in predictors] for s in samples]
     ratings = np.array([s.rating for s in samples])
     solution, _, rank, _ = np.linalg.lstsq(design, ratings, rcond=None)
     if rank < needed:

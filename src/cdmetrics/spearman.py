@@ -53,7 +53,7 @@ def ranks_with_ties(values: Sequence[float]) -> list[float]:
     """Fractional ranks: 1 for the smallest, ties averaged; sums to n(n+1)/2."""
     if not values:
         raise EmptyInput()
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     i = 0
     while i < len(order):

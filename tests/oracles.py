@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import random
 
 import networkx as nx
 
+from cdmetrics.corpus import CorpusError
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship
+from cdmetrics.metrics import METRIC_NAMES
 
 
 def longest_path_brute(edges: list[tuple[str, str]], start: str) -> int:
@@ -90,3 +95,73 @@ def random_diagram(rng: random.Random, max_classes: int = 8) -> ClassDiagram:
 
     rng.shuffle(relationships)
     return ClassDiagram(f"d{rng.randrange(10**6)}", tuple(classes), tuple(relationships))
+
+
+# --- corpora, read one dict per row and one cell at a time by column name ---------
+
+def read_rows_dictreader(text: str, where: str):
+    """Header names, the records as dicts (stripped), and each record's line:
+    the corpus reader as it was before it read rows as lists."""
+    try:
+        dialect = csv.Sniffer().sniff(text[:4096], delimiters=",;\t")
+        delimiter = dialect.delimiter
+    except csv.Error:
+        dialect = csv.excel
+        delimiter = max(",;\t", key=text.partition("\n")[0].count)
+    reader = csv.DictReader(io.StringIO(text), dialect=dialect, delimiter=delimiter)
+    rows, lines = [], []
+    try:
+        if not reader.fieldnames:
+            raise CorpusError(f"{where}: empty corpus")
+        # The one rule added since: a name the header repeats is an error.
+        names = [name.strip() for name in reader.fieldnames]
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise CorpusError(f"{where}: duplicate column {repeated[0]!r}")
+        for row in reader:
+            if None in row:
+                raise CorpusError(f"{where}:{reader.line_num}: more fields than the header")
+            rows.append({k.strip(): v.strip() if v else v for k, v in row.items()})
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # line_num is still that of the last good record
+        raise CorpusError(f"{where}:{reader.line_num + 1}: {exc}") from None
+    return [name.strip() for name in reader.fieldnames], rows, lines
+
+
+def _number_by_column(row: dict, column: str, where: str) -> float:
+    try:
+        value = float(row[column])
+    except (KeyError, TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise CorpusError(f"{where}: bad numeric value for column {column!r}: {row.get(column)!r}")
+    return value
+
+
+def rating_corpus_by_column(text: str, where: str) -> list[tuple[dict, float]]:
+    """(predictors, rating) per row of a fit corpus."""
+    fieldnames, rows, _ = read_rows_dictreader(text, where)
+    if "rating" not in fieldnames:
+        raise CorpusError(f"{where}: missing 'rating' column")
+    predictors = [name for name in fieldnames if name != "rating"]
+    samples = []
+    for row in rows:
+        values = {p: _number_by_column(row, p, where) for p in predictors}
+        rating = _number_by_column(row, "rating", where)
+        unknown = set(values) - set(METRIC_NAMES)
+        if unknown:
+            raise CorpusError(f"{where}: unknown metric name(s): {sorted(unknown)}")
+        samples.append((values, rating))
+    return samples
+
+
+def validation_rows_by_column(text: str, where: str) -> list[dict]:
+    fieldnames, rows, lines = read_rows_dictreader(text, where)
+    if "known" not in fieldnames:
+        raise CorpusError(f"{where}: missing 'known' column")
+    if "computed" not in fieldnames and "diagram" not in fieldnames:
+        raise CorpusError(f"{where}: need a 'computed' or 'diagram' column")
+    for row, line in zip(rows, lines):
+        if not (row.get("computed") or row.get("diagram")):
+            raise CorpusError(f"{where}:{line}: need a 'computed' or 'diagram' value")
+    return rows

@@ -106,6 +106,12 @@ CASES = {
     "corpus_semicolon_separated_row_longer_than_header": (
         {"c.csv": "NM;NA;rating\n1;7;0\n-2;0;8;5\n9;9;-2\n4;1;3\n"},
         ["fit", "c.csv", "--predictors", "NM,NA"], 4, "c.csv:3: more fields than the header"),
+    "fit_corpus_duplicate_column": (
+        {"dup.csv": "NA,NA,rating\n1,5,2\n2,1,3\n3,7,4\n4,2,5\n"},
+        ["fit", "dup.csv", "--predictors", "NA"], 4, "dup.csv: duplicate column 'NA'"),
+    "validate_duplicate_column": (
+        {"v.csv": "id,known,known,computed\na,1,4,1\nb,2,3,2\nc,3,2,3\nd,4,1,4\n"},
+        ["validate", "v.csv"], 4, "v.csv: duplicate column 'known'"),
     "estimate_model_overflows": (
         {"m.model": OVERFLOWING_MODEL, "e.cd": TWO_ATTRIBUTES},
         ["estimate", "--model", "m.model", "e.cd"], 4, "m.model: model gives a non-finite"),

@@ -1,0 +1,110 @@
+"""The corpus readers against a reader that builds one dict per row and reads
+each cell back by column name (tests/oracles.py): the same samples or rows
+on a valid corpus, the same CorpusError message, line included, on a bad one.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdmetrics.corpus import CorpusError, load_rating_corpus, parse_validation_rows
+
+from .oracles import rating_corpus_by_column, validation_rows_by_column
+
+NUMBERS = ["0", "1", "-2", "3.5", "1e3", "7", "0.25"]
+BAD_CELLS = ["nan", "inf", "-inf", "x", "", "1e400", "1,5", "1\n2", '"']
+TOO_LARGE = "1" * 140_000  # past csv's default field size limit of 131 072
+
+
+@st.composite
+def corpora(draw, required, optional, extra_cells=()):
+    """Delimited text with the required columns in any order, and any of:
+    padded, quoted or non-numeric cells, short and long rows, blank lines,
+    CRLF and a field too large to read."""
+    names = required + draw(st.lists(st.sampled_from(optional), unique=True))
+    names = draw(st.permutations(names))
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    flawed = draw(st.booleans())
+    good = NUMBERS + list(extra_cells)
+    cells = st.sampled_from(good * 4 + BAD_CELLS if flawed else good)
+
+    pad = st.sampled_from(["", "", " ", "  ", "\t"])
+
+    def render(cell):
+        cell = draw(pad) + cell + draw(pad)
+        if any(c in cell for c in f"{delimiter}\n\"") or draw(st.integers(0, 5)) == 0:
+            cell = '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    lines = [delimiter.join(map(render, names))]
+    for _ in range(draw(st.sampled_from([3, 1, 5, 0, 2]))):
+        row = [draw(cells) for _ in names]
+        if flawed:
+            row = draw(st.sampled_from([row, row, row[:-1], row[:-2], row + ["1"]]))
+            if row and draw(st.integers(0, 9)) == 0:
+                row[draw(st.integers(0, len(row) - 1))] = TOO_LARGE
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        lines.append(delimiter.join(map(render, row)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except CorpusError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpora(["rating", "NA"], ["NM", "NAssoc", "MaxDIT", "NGen", "NC", "NDep", "x"]))
+def test_fit_corpus_reader_matches_the_by_column_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fit") / "fit.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(load_rating_corpus, path)
+    if isinstance(got, list):
+        got = [(list(s.predictors.items()), s.rating) for s in got]
+    want = _outcome(rating_corpus_by_column, path.read_text(encoding="utf-8"), str(path))
+    if isinstance(want, list):
+        want = [(list(predictors.items()), rating) for predictors, rating in want]
+    assert got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpora(["known", "computed"], ["id", "diagram", "note"], extra_cells=["d.cd"]))
+def test_validation_reader_matches_the_by_column_oracle(text):
+    got = _outcome(parse_validation_rows, text, "v.csv")
+    want = _outcome(validation_rows_by_column, text, "v.csv")
+    if isinstance(got, list) and isinstance(want, list):
+        got, want = [list(r.items()) for r in got], [list(r.items()) for r in want]
+    assert got == want
+
+
+@pytest.mark.parametrize("text,message", [
+    # csv.reader is past the failing record; the line is the one after the
+    # last good record, or after the first blank line that follows it.
+    ("NA,rating\n1,2\n<big>,3\n", "fit.csv:3: field larger"),
+    ("NA,rating\n1,2\n\n\n<big>,3\n", "fit.csv:4: field larger"),
+    ("NA,rating\n<big>,3\n", "fit.csv:2: field larger"),
+    ("NA,rating\n1,2\n3,4,5\n", "fit.csv:3: more fields than the header"),
+    ("NA,rating\n1,2\n\n3,4,5\n", "fit.csv:4: more fields than the header"),
+    # The first bad cell in header order, then rating; a short row's missing cells are None.
+    ("rating,NM,NA\nnan,x,inf\n", "bad numeric value for column 'NM': 'x'"),
+    ("NM,NA,rating\n1, inf ,x\n", "bad numeric value for column 'NA': 'inf'"),
+    ("NM,NA,rating\n1,2\n", "bad numeric value for column 'rating': None"),
+    ("NM,rating,NA\n\n", None),
+    ("\nNA,rating\n1,2\n", "fit.csv: empty corpus"),
+])
+def test_fit_corpus_errors_and_lines(tmp_path, text, message):
+    text = text.replace("<big>", TOO_LARGE)
+    path = tmp_path / "fit.csv"
+    path.write_text(text, encoding="utf-8")
+    if message is None:
+        assert load_rating_corpus(path) == []
+        return
+    with pytest.raises(CorpusError) as exc:
+        load_rating_corpus(path)
+    assert message in str(exc.value)
+    with pytest.raises(CorpusError) as oracle:
+        rating_corpus_by_column(text, str(path))
+    assert str(exc.value) == str(oracle.value)

@@ -119,7 +119,8 @@ def test_duplicate_member_is_syntax_error_at_duplicate(member):
 
 
 @pytest.mark.parametrize("source,line,column,message", [
-    ("class A { attr x } junk\n", 1, 18, "unexpected token '}'"),
+    ("class A { attr x } junk\n", 1, 20, "unexpected token 'junk'"),
+    ("class A {\n attr x } junk\n", 2, 11, "unexpected token 'junk'"),
     ("class A { } junk\n", 1, 13, "unexpected token 'junk'"),
     ("class A {\n  class B {}\n}\n", 2, 3, "in class body, got 'class'"),
     ("class A {}\n}\n", 2, 1, "unknown keyword '}'"),
@@ -134,6 +135,26 @@ def test_body_form_error_spans(source, line, column, message):
         parse(source)
     assert (exc.value.span.line, exc.value.span.column) == (line, column)
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_lines_end_only_at_newlines(brk):
+    # Line numbers count \n, \r\n and \r, as an editor does; other line
+    # breaks are whitespace within a line.
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(f"class A {{}}{brk}\nclass 9x {{}}\n")
+    assert (exc.value.span.line, exc.value.span.column) == (2, 7)
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(f"class A {{}}{brk}class B {{}}\n")
+    assert (exc.value.span.line, exc.value.span.column) == (1, 12)
+    assert parse(f"class A {{{brk}attr x{brk}}}\n").classes == (ClassDecl("A", ("x",)),)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_each_newline_form_ends_a_line(end):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(f"class A {{}}{end}{end}class 9x {{}}{end}")
+    assert (exc.value.span.line, exc.value.span.column) == (3, 7)
 
 
 def _one_line_bodies(d: ClassDiagram) -> str:

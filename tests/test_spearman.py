@@ -140,17 +140,30 @@ def test_alpha_below_float_resolution_gives_no_threshold():
     assert math.isnan(critical) and not significant
 
 
-def test_cli_and_significance_import_neither_scipy_nor_numpy():
-    code = ("import sys, cdmetrics.cli\n"
-            "from cdmetrics.spearman import significance\n"
-            "significance(0.5, 28, 0.05)\n"
-            "print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n")
+def _loaded_scipy_and_numpy(code: str, cwd=None) -> str:
+    """Run code in a fresh interpreter; which of scipy and numpy it loaded."""
+    code = f"import sys\n{code}\nprint(sorted({{'scipy', 'numpy'}} & set(sys.modules)))\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+def test_cli_and_significance_import_neither_scipy_nor_numpy():
+    code = ("import sys, cdmetrics.cli\n"
+            "from cdmetrics.spearman import significance\n"
+            "significance(0.5, 28, 0.05)")
+    assert _loaded_scipy_and_numpy(code) == "[]"
+
+
+def test_reproduce_and_validate_runs_load_neither_scipy_nor_numpy(tmp_path):
+    # Only `fit` needs numpy; the corpus reader that validate shares with it must not.
+    (tmp_path / "v.csv").write_text("id,known,computed\na,1,1.2\nb,2,1.9\nc,3,3.4\nd,4,3.9\n")
+    code = ("from cdmetrics.cli import main\n"
+            "assert main(['reproduce']) == 0 and main(['validate', 'v.csv']) == 0")
+    assert _loaded_scipy_and_numpy(code, cwd=tmp_path) == "[]"
 
 
 def test_submodule_import_binds_the_module():
