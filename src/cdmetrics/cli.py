@@ -21,7 +21,7 @@ from . import corpus as corpus_io
 from .diagram import ClassDiagram, validate
 from .dsl import from_dict, parse
 from .errors import CdmetricsError, DiagramError, DiagramFormatError, ModelError, read_file
-from .metrics import compute_metrics
+from .metrics import METRIC_NAMES, compute_metrics
 from .regression import (
     PUBLISHED_UNDERSTANDABILITY_MODEL,
     LinearModel,
@@ -61,6 +61,18 @@ _alpha = _float_in("(0, 0.5]", lambda a: 0 < a <= 0.5)
 _tolerance = _float_in("[0, inf)", lambda t: 0 <= t < math.inf)
 
 
+def _predictors(text: str) -> list[str]:
+    """argparse type: comma-separated metric names, each named once."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    for i, name in enumerate(names):
+        if name not in METRIC_NAMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown metric {name!r}; choose from {', '.join(METRIC_NAMES)}")
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"metric {name!r} named twice")
+    return names
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cdmetrics", description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -85,8 +97,8 @@ def _build_parser() -> _Parser:
     p_fit.set_defaults(run=_cmd_fit)
     p_fit.add_argument("corpus", metavar="CORPUS")
     p_fit.add_argument(
-        "--predictors", required=True, metavar="NAME,NAME,...",
-        help="comma-separated metric names",
+        "--predictors", required=True, type=_predictors, metavar="NAME,NAME,...",
+        help="comma-separated metric names, each named once",
     )
 
     p_val = sub.add_parser("validate", help="Spearman validation of a corpus")
@@ -163,8 +175,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_fit(args):
-    predictors = [p.strip() for p in args.predictors.split(",") if p.strip()]
-    model = fit(corpus_io.load_rating_corpus(args.corpus), predictors)
+    model = fit(corpus_io.load_rating_corpus(args.corpus), args.predictors)
     return model.to_json_obj(), EXIT_OK, None
 
 

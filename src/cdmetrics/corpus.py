@@ -35,7 +35,6 @@ def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str | None]]
         delimiter = max(",;\t", key=text.partition("\n")[0].count)
     reader = csv.reader(io.StringIO(text), dialect=dialect, delimiter=delimiter)
     records, lines = [], []
-    line, skipped = 0, False  # the last record's line; blank lines since it
     try:
         header = next(reader, None)
         if not header:
@@ -46,23 +45,19 @@ def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str | None]]
             if name in seen:
                 raise CorpusError(f"{where}: duplicate column {name!r}")
             seen.add(name)
-        width, line = len(names), reader.line_num
+        width = len(names)
         for fields in reader:
             if not fields:
-                skipped = True
                 continue
-            line, skipped = reader.line_num, False
             if len(fields) > width:
-                raise CorpusError(f"{where}:{line}: more fields than the header")
+                raise CorpusError(f"{where}:{reader.line_num}: more fields than the header")
             fields = list(map(str.strip, fields))
             if len(fields) < width:
                 fields += [None] * (width - len(fields))
             records.append(fields)
-            lines.append(line)
-    except csv.Error as exc:
-        # The reader is past the failing record; name the line after the last
-        # good record, or after the first blank line that follows it.
-        raise CorpusError(f"{where}:{line + 1 + skipped}: {exc}") from None
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # name the line the reader stopped on
+        raise CorpusError(f"{where}:{reader.line_num}: {exc}") from None
     return names, records, lines
 
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable
 
 from .errors import (
     AggregationCycle,
@@ -62,6 +62,8 @@ class ClassDiagram:
     per-kind relationship sequences.  The interleaving of different kinds in
     the relationship list is presentation order only, so canonical
     serialization (which groups by kind) round-trips to an equal diagram.
+    The per-kind grouping and the hierarchy depths are worked out on first
+    use and cached on the instance.  A diagram is not hashable.
     """
 
     id: str = "unnamed"
@@ -75,48 +77,61 @@ class ClassDiagram:
     def class_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes)
 
-    def by_kind(self, kind: RelKind) -> tuple[Relationship, ...]:
-        return tuple(r for r in self.relationships if r.kind is kind)
+    @cached_property
+    def _groups(self) -> dict[RelKind, tuple[Relationship, ...]]:
+        groups: dict[RelKind, list[Relationship]] = {kind: [] for kind in RelKind}
+        for r in self.relationships:
+            groups[r.kind].append(r)
+        return {kind: tuple(rels) for kind, rels in groups.items()}
 
-    def _key(self):
-        return (
-            self.id,
-            self.classes,
-            tuple(self.by_kind(k) for k in RelKind),
-        )
+    def by_kind(self, kind: RelKind) -> tuple[Relationship, ...]:
+        return self._groups[kind]
+
+    @cached_property
+    def depths(self) -> dict[RelKind, dict[str, int]]:
+        """Longest outgoing path length, in edges, of every node of each
+        hierarchy kind: generalization, then aggregation.
+
+        One graphlib pass per kind orders each node after its successors, so
+        a node's depth is 1 + the max depth of its successors (0 for a sink).
+        Raises DuplicateHierarchyEdge, or GeneralizationCycle/AggregationCycle
+        for a directed cycle, on the first violation found.  The cached dict
+        is shared by every reader and must not be mutated.
+        """
+        depths: dict[RelKind, dict[str, int]] = {}
+        for kind, cycle_error in (
+            (RelKind.GENERALIZATION, GeneralizationCycle),
+            (RelKind.AGGREGATION, AggregationCycle),
+        ):
+            successors: dict[str, dict[str, None]] = {}
+            for r in self._groups[kind]:
+                targets = successors.setdefault(r.source, {})
+                if r.target in targets:
+                    raise DuplicateHierarchyEdge(kind, (r.source, r.target))
+                targets[r.target] = None
+            level = depths[kind] = {}
+            try:
+                for node in TopologicalSorter(successors).static_order():
+                    level[node] = 1 + max((level[s] for s in successors.get(node, ())), default=-1)
+            except CycleError as exc:
+                # args[1] walks the cycle against the edges and repeats its
+                # first node: [a, c, b, a] for a -> b -> c -> a.
+                raise cycle_error(exc.args[1][:0:-1]) from None
+        return depths
 
     def __eq__(self, other):
         if not isinstance(other, ClassDiagram):
             return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-def longest_paths(edges: Iterable[tuple[str, str]]) -> dict[str, int]:
-    """Longest outgoing path length, in edges, of every node of one hierarchy kind.
-
-    One graphlib pass orders each node after its successors, so a node's
-    depth is 1 + the max depth of its successors (0 for a sink).  Raises
-    graphlib.CycleError if the edges contain a directed cycle.
-    """
-    successors: dict[str, list[str]] = {}
-    for src, dst in edges:
-        successors.setdefault(src, []).append(dst)
-    depths: dict[str, int] = {}
-    for node in TopologicalSorter(successors).static_order():
-        depths[node] = 1 + max((depths[s] for s in successors.get(node, ())), default=-1)
-    return depths
+        return (self.id, self.classes, self._groups) == (other.id, other.classes, other._groups)
 
 
 def validate(diagram: ClassDiagram) -> ClassDiagram:
-    """Check every diagram invariant and return the diagram unchanged.
+    """Check every diagram invariant and return the same diagram, with its
+    hierarchy analysis (`depths`) cached on it.
 
     Raises DuplicateClass, UnknownEndpoint, DuplicateHierarchyEdge,
     GeneralizationCycle, or AggregationCycle on the first violation found.
-    Never mutates or reorders anything; validating a valid diagram is a
-    no-op, so the operation is idempotent.
+    Nothing is reordered, and validating twice is a no-op.
     """
     seen: set[str] = set()
     for cls in diagram.classes:
@@ -129,21 +144,5 @@ def validate(diagram: ClassDiagram) -> ClassDiagram:
             if endpoint not in seen:
                 raise UnknownEndpoint(rel, endpoint)
 
-    for kind, cycle_error in (
-        (RelKind.GENERALIZATION, GeneralizationCycle),
-        (RelKind.AGGREGATION, AggregationCycle),
-    ):
-        edges = [(r.source, r.target) for r in diagram.by_kind(kind)]
-        pairs: set[tuple[str, str]] = set()
-        for pair in edges:
-            if pair in pairs:
-                raise DuplicateHierarchyEdge(kind, pair)
-            pairs.add(pair)
-        try:
-            longest_paths(edges)
-        except CycleError as exc:
-            # args[1] walks the cycle against the edges and repeats its first
-            # node: [a, c, b, a] for a -> b -> c -> a.
-            raise cycle_error(exc.args[1][:0:-1]) from None
-
+    diagram.depths  # raises on a duplicate hierarchy edge or a cycle
     return diagram

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .diagram import ClassDiagram, RelKind, longest_paths
+from .diagram import ClassDiagram, RelKind
 from .errors import UnknownClass
 
 
@@ -49,8 +49,7 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricsVector))
 def _depth_metric(diagram: ClassDiagram, cls: str, kind: RelKind) -> int:
     if cls not in diagram.class_names():
         raise UnknownClass(cls)
-    edges = [(r.source, r.target) for r in diagram.by_kind(kind)]
-    return longest_paths(edges).get(cls, 0)
+    return diagram.depths[kind].get(cls, 0)
 
 
 def dit(diagram: ClassDiagram, cls: str) -> int:
@@ -63,8 +62,8 @@ def hagg(diagram: ClassDiagram, cls: str) -> int:
     return _depth_metric(diagram, cls, RelKind.AGGREGATION)
 
 
-def _components(edges: list[tuple[str, str]]) -> int:
-    """Number of weakly connected components spanned by the edges (union-find)."""
+def count_hierarchies(diagram: ClassDiagram, kind: RelKind) -> int:
+    """Weakly connected components with at least one edge of the kind (union-find)."""
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:
@@ -75,35 +74,28 @@ def _components(edges: list[tuple[str, str]]) -> int:
             parent[x], x = root, parent[x]
         return root
 
-    for src, dst in edges:
-        for node in (src, dst):
+    for r in diagram.by_kind(kind):
+        for node in (r.source, r.target):
             parent.setdefault(node, node)
-        parent[find(src)] = find(dst)
+        parent[find(r.source)] = find(r.target)
 
     return len({find(node) for node in parent})
 
 
-def count_hierarchies(diagram: ClassDiagram, kind: RelKind) -> int:
-    """Number of weakly connected components with at least one edge of the kind."""
-    return _components([(r.source, r.target) for r in diagram.by_kind(kind)])
-
-
 def compute_metrics(diagram: ClassDiagram) -> MetricsVector:
-    """All eleven metrics for a validated (acyclic-hierarchy) diagram."""
-    edges: dict[RelKind, list[tuple[str, str]]] = {kind: [] for kind in RelKind}
-    for r in diagram.relationships:
-        edges[r.kind].append((r.source, r.target))
-    gen, agg = edges[RelKind.GENERALIZATION], edges[RelKind.AGGREGATION]
+    """All eleven metrics; a hierarchy fault raises the error validate() would."""
+    gen, agg = RelKind.GENERALIZATION, RelKind.AGGREGATION
+    depths = diagram.depths
     return MetricsVector(
         NC=len(diagram.classes),
         NA=sum(len(c.attributes) for c in diagram.classes),
         NM=sum(len(c.methods) for c in diagram.classes),
-        NAssoc=len(edges[RelKind.ASSOCIATION]),
-        NAgg=len(agg),
-        NDep=len(edges[RelKind.DEPENDENCY]),
-        NGen=len(gen),
-        NAggH=_components(agg),
-        NGenH=_components(gen),
-        MaxHAgg=max(longest_paths(agg).values(), default=0),
-        MaxDIT=max(longest_paths(gen).values(), default=0),
+        NAssoc=len(diagram.by_kind(RelKind.ASSOCIATION)),
+        NAgg=len(diagram.by_kind(agg)),
+        NDep=len(diagram.by_kind(RelKind.DEPENDENCY)),
+        NGen=len(diagram.by_kind(gen)),
+        NAggH=count_hierarchies(diagram, agg),
+        NGenH=count_hierarchies(diagram, gen),
+        MaxHAgg=max(depths[agg].values(), default=0),
+        MaxDIT=max(depths[gen].values(), default=0),
     )

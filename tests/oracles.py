@@ -123,8 +123,8 @@ def read_rows_dictreader(text: str, where: str):
                 raise CorpusError(f"{where}:{reader.line_num}: more fields than the header")
             rows.append({k.strip(): v.strip() if v else v for k, v in row.items()})
             lines.append(reader.line_num)
-    except csv.Error as exc:  # line_num is still that of the last good record
-        raise CorpusError(f"{where}:{reader.line_num + 1}: {exc}") from None
+    except csv.Error as exc:  # the line the underlying reader stopped on
+        raise CorpusError(f"{where}:{reader.reader.line_num}: {exc}") from None
     return [name.strip() for name in reader.fieldnames], rows, lines
 
 

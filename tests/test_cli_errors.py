@@ -43,6 +43,7 @@ def _write(directory: Path, files: dict):
 
 
 GOOD_CORPUS = "id,known,computed\na,1,1\nb,2,2\nc,3,3\nd,4,4\n"
+GOOD_FIT_CORPUS = "NA,NM,rating\n1,2,3.1\n2,1,3.9\n3,5,5.2\n4,3,6.1\n"
 # Finite weights whose estimate for two attributes overflows to inf.
 OVERFLOWING_MODEL = json.dumps({"intercept": 1e308, "coefficients": {"NA": 1e308}})
 TWO_ATTRIBUTES = "class A {\n  attr x\n  attr y\n}\n"
@@ -143,6 +144,27 @@ def test_tolerance_out_of_range_is_usage_error(tolerance):
     code, out, err = _run(["reproduce", "--tolerance", tolerance])
     assert code == 1 and out == ""
     assert err.startswith("usage:") and "--tolerance" in err
+
+
+@pytest.mark.parametrize("predictors, named", [
+    ("NA,NA", "'NA'"), ("NM, NA ,NM", "'NM'"), ("XX", "'XX'"), ("NA,XX", "'XX'"),
+    ("NA,na", "'na'"),
+])
+def test_bad_predictors_are_usage_errors(tmp_path, monkeypatch, predictors, named):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, {"fit.csv": GOOD_FIT_CORPUS})
+    code, out, err = _run(["fit", "fit.csv", "--predictors", predictors])
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "--predictors" in err.splitlines()[-1]
+    assert named in err.splitlines()[-1]
+
+
+def test_predictor_names_are_stripped_and_empty_ones_dropped(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, {"fit.csv": GOOD_FIT_CORPUS})
+    code, out, err = _run(["fit", "fit.csv", "--predictors", " NM, ,NA,"])
+    assert (code, err) == (0, "")
+    assert list(json.loads(out)["coefficients"]) == ["NM", "NA"]
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

@@ -81,10 +81,10 @@ def test_validation_reader_matches_the_by_column_oracle(text):
 
 
 @pytest.mark.parametrize("text,message", [
-    # csv.reader is past the failing record; the line is the one after the
-    # last good record, or after the first blank line that follows it.
+    # A csv.Error names the line csv.reader stopped on: the failing record's,
+    # after any blank lines before it.
     ("NA,rating\n1,2\n<big>,3\n", "fit.csv:3: field larger"),
-    ("NA,rating\n1,2\n\n\n<big>,3\n", "fit.csv:4: field larger"),
+    ("NA,rating\n1,2\n\n\n<big>,3\n", "fit.csv:5: field larger"),
     ("NA,rating\n<big>,3\n", "fit.csv:2: field larger"),
     ("NA,rating\n1,2\n3,4,5\n", "fit.csv:3: more fields than the header"),
     ("NA,rating\n1,2\n\n3,4,5\n", "fit.csv:4: more fields than the header"),

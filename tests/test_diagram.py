@@ -73,6 +73,21 @@ def test_duplicate_generalization_pair_rejected():
         validate(d)
 
 
+@pytest.mark.parametrize("relationships, error", [
+    ([(RelKind.GENERALIZATION, "A", "B"), (RelKind.GENERALIZATION, "B", "A"),
+      (RelKind.GENERALIZATION, "A", "B")], DuplicateHierarchyEdge),
+    ([(RelKind.AGGREGATION, "A", "B"), (RelKind.AGGREGATION, "A", "B"),
+      (RelKind.GENERALIZATION, "A", "B"), (RelKind.GENERALIZATION, "B", "A")],
+     GeneralizationCycle),
+], ids=["gen_duplicate_before_gen_cycle", "gen_cycle_before_agg_duplicate"])
+def test_hierarchy_error_precedence(relationships, error):
+    d = ClassDiagram("d", _classes("A", "B"), tuple(
+        Relationship(kind, src, dst) for kind, src, dst in relationships
+    ))
+    with pytest.raises(error):
+        validate(d)
+
+
 def test_self_association_legal_self_generalization_not():
     ok = ClassDiagram("d", _classes("A"), (
         Relationship(RelKind.ASSOCIATION, "A", "A"),

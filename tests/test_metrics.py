@@ -1,9 +1,15 @@
 import pytest
 from hypothesis import given
 
+import cdmetrics.diagram
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship, validate
 from cdmetrics.dsl import parse
-from cdmetrics.errors import UnknownClass
+from cdmetrics.errors import (
+    AggregationCycle,
+    DuplicateHierarchyEdge,
+    GeneralizationCycle,
+    UnknownClass,
+)
 from cdmetrics.metrics import (
     METRIC_NAMES,
     MetricsVector,
@@ -172,3 +178,38 @@ def test_deep_chain_has_no_recursion_limit(kind, metric, depth, reverse):
     assert compute_metrics(d)[metric] == 9999
     assert depth(d, "C0") == 9999
     assert depth(d, "C9999") == 0
+
+
+@pytest.mark.parametrize("measure", [
+    compute_metrics, lambda d: dit(d, "A"), lambda d: hagg(d, "A"),
+], ids=["compute_metrics", "dit", "hagg"])
+@pytest.mark.parametrize("kind, cycle_error", [
+    (RelKind.GENERALIZATION, GeneralizationCycle),
+    (RelKind.AGGREGATION, AggregationCycle),
+], ids=["generalization", "aggregation"])
+@pytest.mark.parametrize("fault", ["cycle", "duplicate"])
+def test_unvalidated_hierarchy_faults_raise_typed_errors(measure, kind, cycle_error, fault):
+    edges = [("A", "B"), ("B", "A")] if fault == "cycle" else [("A", "B"), ("A", "B")]
+    d = ClassDiagram("d", (ClassDecl("A"), ClassDecl("B")), tuple(
+        Relationship(kind, src, dst) for src, dst in edges
+    ))
+    with pytest.raises(cycle_error if fault == "cycle" else DuplicateHierarchyEdge):
+        measure(d)
+
+
+def test_one_graphlib_pass_per_hierarchy_kind(monkeypatch):
+    built = []
+
+    class CountingSorter(cdmetrics.diagram.TopologicalSorter):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cdmetrics.diagram, "TopologicalSorter", CountingSorter)
+    d = parse(
+        "class A {}\nclass B {}\nclass C {}\n"
+        "gen C => B\ngen B => A\nagg A o- C\nagg B o- C\n"
+    )
+    assert compute_metrics(validate(d)).MaxDIT == 2
+    assert (dit(d, "C"), hagg(d, "A")) == (2, 1)
+    assert len(built) == 2
