@@ -8,7 +8,8 @@ import math
 from importlib import resources
 from pathlib import Path
 
-from .errors import CdmetricsError, ModelError, read_file
+from .errors import CdmetricsError, read_file
+from .metrics import METRIC_NAMES
 from .regression import RatedSample
 from .spearman import RatedPair
 
@@ -72,29 +73,32 @@ def _number(row: dict, column: str, where: str) -> float:
 
 
 def load_rating_corpus(path: str | Path) -> list[RatedSample]:
-    """Fit corpus: predictor columns plus a `rating` column, in any order."""
+    """Fit corpus: predictor columns plus a `rating` column, in any order.
+
+    Every other column must name a metric, checked once at the header.
+    """
     where = str(path)
     names, records, _ = _read_rows(read_file(path, CorpusError), where)
     if "rating" not in names:
         raise CorpusError(f"{where}: missing 'rating' column")
     at = names.index("rating")
     predictors = names[:at] + names[at + 1:]
+    unknown = set(predictors).difference(METRIC_NAMES)
+    if unknown:
+        raise CorpusError(f"{where}: unknown metric name(s): {sorted(unknown)}")
     samples = []
-    try:
-        for fields in records:
-            try:
-                values = list(map(float, fields))
-            except (TypeError, ValueError):  # a missing, empty or non-numeric cell
-                values = [math.nan]
-            if not all(map(math.isfinite, values)):
-                # Name the first bad cell: predictors in header order, then rating.
-                row = dict(zip(names, fields))
-                for column in (*predictors, "rating"):
-                    _number(row, column, where)
-            rating = values.pop(at)
-            samples.append(RatedSample(predictors=dict(zip(predictors, values)), rating=rating))
-    except ModelError as exc:  # a predictor column that names no metric
-        raise CorpusError(f"{where}: {exc}") from None
+    for fields in records:
+        try:
+            values = list(map(float, fields))
+        except (TypeError, ValueError):  # a missing, empty or non-numeric cell
+            values = [math.nan]
+        if not all(map(math.isfinite, values)):
+            # Name the first bad cell: predictors in header order, then rating.
+            row = dict(zip(names, fields))
+            for column in (*predictors, "rating"):
+                _number(row, column, where)
+        rating = values.pop(at)
+        samples.append(RatedSample(dict(zip(predictors, values)), rating))
     return samples
 
 

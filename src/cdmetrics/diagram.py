@@ -30,15 +30,6 @@ class ClassDecl:
     attributes: tuple[str, ...] = ()
     methods: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("class name must be non-empty")
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        for label, names in (("attribute", self.attributes), ("method", self.methods)):
-            if len(set(names)) != len(names):
-                raise ValueError(f"duplicate {label} name in class {self.name!r}")
-
 
 @dataclass(frozen=True)
 class Relationship:
@@ -62,20 +53,20 @@ class ClassDiagram:
     per-kind relationship sequences.  The interleaving of different kinds in
     the relationship list is presentation order only, so canonical
     serialization (which groups by kind) round-trips to an equal diagram.
-    The per-kind grouping and the hierarchy depths are worked out on first
-    use and cached on the instance.  A diagram is not hashable.
+    The name set, the per-kind grouping and the hierarchy depths are worked
+    out on first use and cached on the instance.  A diagram is not hashable.
     """
 
     id: str = "unnamed"
     classes: tuple[ClassDecl, ...] = ()
     relationships: tuple[Relationship, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "relationships", tuple(self.relationships))
-
     def class_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes)
+
+    @cached_property
+    def name_set(self) -> frozenset[str]:
+        return frozenset(c.name for c in self.classes)
 
     @cached_property
     def _groups(self) -> dict[RelKind, tuple[Relationship, ...]]:
@@ -126,12 +117,17 @@ class ClassDiagram:
 
 
 def validate(diagram: ClassDiagram) -> ClassDiagram:
-    """Check every diagram invariant and return the same diagram, with its
+    """Check the diagram's structure and return the same diagram, with its
     hierarchy analysis (`depths`) cached on it.
 
-    Raises DuplicateClass, UnknownEndpoint, DuplicateHierarchyEdge,
-    GeneralizationCycle, or AggregationCycle on the first violation found.
-    Nothing is reordered, and validating twice is a no-op.
+    Checks that class names are unique, that every relationship endpoint is
+    a declared class, and that the generalization and aggregation subgraphs
+    have no repeated edge and no directed cycle.  Raises DuplicateClass,
+    UnknownEndpoint, DuplicateHierarchyEdge, GeneralizationCycle, or
+    AggregationCycle on the first violation found.  Member names are not
+    checked here: the readers (`dsl.parse`, `dsl.from_dict`) reject a class
+    that names an attribute or method twice.  Nothing is reordered, and
+    validating twice is a no-op.
     """
     seen: set[str] = set()
     for cls in diagram.classes:

@@ -43,10 +43,6 @@ class SourceSpan:
     line: int
     column: int
 
-    def __post_init__(self):
-        if self.line < 1 or self.column < 1:
-            raise ValueError("line and column are 1-based")
-
 
 class _Line:
     """A non-blank source line as whitespace tokens; only `fail` needs their columns."""
@@ -112,7 +108,7 @@ def parse(source: str) -> ClassDiagram:
                     classes.append(ClassDecl(name))
                     continue
                 line.expect(2, "{", "class body opener")
-                body = (name, [], [])
+                body = (name, {}, {})
                 start = 3
                 if len(tokens) == start:
                     continue
@@ -140,7 +136,7 @@ def parse(source: str) -> ClassDiagram:
             members = attrs if head == "attr" else methods
             if member in members:
                 line.fail(start + 1, f"duplicate {head} name {member!r} in class {name!r}")
-            members.append(member)
+            members[member] = None
             if tokens[start + 2:start + 3] != ["}"]:
                 line.end(start + 2)
                 continue
@@ -217,10 +213,10 @@ def _class_decl(obj) -> ClassDecl:
         tuple([_ident(n, path) for n in _check(obj.get(key, []), list, path)])
         for key, path in (("attributes", ".attributes"), ("methods", ".methods"))
     ]
-    try:
-        return ClassDecl(name, *members)
-    except ValueError as exc:  # a duplicate member name
-        raise DiagramFormatError(f": {exc}") from None
+    for label, names in zip(("attribute", "method"), members):
+        if len(set(names)) != len(names):
+            raise DiagramFormatError(f": duplicate {label} name in class {name!r}")
+    return ClassDecl(name, *members)
 
 
 def _relationship(obj) -> Relationship:

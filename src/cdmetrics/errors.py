@@ -110,10 +110,11 @@ class InvalidAlpha(ValidationInputError):
 
 
 def read_file(path, error: type[CdmetricsError], decode=str):
-    """decode(the UTF-8 text of a file).  A file that cannot be read or decoded
-    raises `error`; decode's own errors get the file name in front."""
+    """decode(the UTF-8 text of a file, less a leading byte-order mark).  A file
+    that cannot be read or decoded raises `error`; decode's own errors get the
+    file name in front."""
     try:
-        return decode(Path(path).read_text(encoding="utf-8"))
+        return decode(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from None
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep

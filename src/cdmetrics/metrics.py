@@ -28,12 +28,6 @@ class MetricsVector:
     MaxHAgg: int = 0
     MaxDIT: int = 0
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{f.name} must be a non-negative integer, got {value!r}")
-
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
@@ -47,7 +41,7 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricsVector))
 
 
 def _depth_metric(diagram: ClassDiagram, cls: str, kind: RelKind) -> int:
-    if cls not in diagram.class_names():
+    if cls not in diagram.name_set:
         raise UnknownClass(cls)
     return diagram.depths[kind].get(cls, 0)
 

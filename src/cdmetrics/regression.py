@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InsufficientSamples, ModelError, SingularDesign
 from .metrics import METRIC_NAMES, MetricsVector
@@ -72,21 +72,11 @@ PUBLISHED_UNDERSTANDABILITY_MODEL = LinearModel(
 )
 
 
-@dataclass(frozen=True)
-class RatedSample:
-    """Predictor values for one diagram paired with its expert rating."""
+class RatedSample(NamedTuple):
+    """Predictor values for one diagram paired with its expert rating, unchecked."""
 
     predictors: Mapping[str, float]
     rating: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "predictors", dict(self.predictors))
-        object.__setattr__(self, "rating", float(self.rating))
-        if not math.isfinite(self.rating):
-            raise ModelError("rating must be finite")
-        unknown = self.predictors.keys() - _METRIC_SET
-        if unknown:
-            raise ModelError(f"unknown metric name(s): {sorted(unknown)}")
 
 
 def estimate(model: LinearModel, metrics: MetricsVector | Mapping[str, float]) -> float:

@@ -144,13 +144,13 @@ def rating_corpus_by_column(text: str, where: str) -> list[tuple[dict, float]]:
     if "rating" not in fieldnames:
         raise CorpusError(f"{where}: missing 'rating' column")
     predictors = [name for name in fieldnames if name != "rating"]
+    unknown = set(predictors) - set(METRIC_NAMES)
+    if unknown:
+        raise CorpusError(f"{where}: unknown metric name(s): {sorted(unknown)}")
     samples = []
     for row in rows:
         values = {p: _number_by_column(row, p, where) for p in predictors}
         rating = _number_by_column(row, "rating", where)
-        unknown = set(values) - set(METRIC_NAMES)
-        if unknown:
-            raise CorpusError(f"{where}: unknown metric name(s): {sorted(unknown)}")
         samples.append((values, rating))
     return samples
 

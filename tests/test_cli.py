@@ -256,3 +256,31 @@ def test_alpha_out_of_range_is_usage_error(tmp_path, capsys, command, alpha):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "--alpha" in err and "Traceback" not in err
+
+
+# (files, argv) per kind of file the CLI reads; the first file is the one
+# written with and without a byte-order mark.
+BOM_CASES = {
+    "cd": ({"one.cd": SINGLE_CLASS}, ["metrics", "one.cd"]),
+    "json": ({"one.json": json.dumps({"classes": [{"name": "A", "attributes": ["x"]}]})},
+             ["metrics", "one.json"]),
+    "fit_corpus": ({"fit.csv": "NA,NM,rating\n1,2,3.1\n2,1,3.9\n3,5,5.2\n4,3,6.1\n"},
+                   ["fit", "fit.csv", "--predictors", "NA,NM"]),
+    "model": ({"m.model": json.dumps({"intercept": 1.0, "coefficients": {"NA": 0.5}}),
+               "one.cd": SINGLE_CLASS}, ["estimate", "--model", "m.model", "one.cd"]),
+}
+
+
+@pytest.mark.parametrize("case", BOM_CASES)
+def test_input_file_may_start_with_a_utf8_bom(tmp_path, monkeypatch, capsys, case):
+    files, argv = BOM_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        _write(tmp_path, name, text)
+    name, text = next(iter(files.items()))
+    outputs = []
+    for bom in ("", "\ufeff"):
+        _write(tmp_path, name, bom + text)
+        assert main(argv) == 0, capsys.readouterr().err
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

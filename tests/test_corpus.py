@@ -93,6 +93,10 @@ def test_validation_reader_matches_the_by_column_oracle(text):
     ("NM,NA,rating\n1, inf ,x\n", "bad numeric value for column 'NA': 'inf'"),
     ("NM,NA,rating\n1,2\n", "bad numeric value for column 'rating': None"),
     ("NM,rating,NA\n\n", None),
+    # Every column but rating must name a metric, checked at the header:
+    # before any cell, and also when no record follows.
+    ("x,rating\n", "fit.csv: unknown metric name(s): ['x']"),
+    ("x,rating\n1,nan\n", "fit.csv: unknown metric name(s): ['x']"),
     ("\nNA,rating\n1,2\n", "fit.csv: empty corpus"),
 ])
 def test_fit_corpus_errors_and_lines(tmp_path, text, message):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 
@@ -116,6 +118,15 @@ def test_duplicate_member_is_syntax_error_at_duplicate(member):
         parse(f"class A {{\n  {member} x\n  {member} x\n}}\n")
     assert (exc.value.span.line, exc.value.span.column) == (3, len(member) + 4)
     assert "duplicate" in str(exc.value)
+
+
+def test_duplicate_member_check_is_linear():
+    # A list scan per member took about 14 s for 40 000 attributes.
+    source = "class A {\n" + "".join(f"  attr a{i}\n" for i in range(10**5)) + "}\n"
+    start = time.perf_counter()
+    d = parse(source)
+    assert time.perf_counter() - start < 5.0
+    assert d.classes[0].attributes[-1] == "a99999"
 
 
 @pytest.mark.parametrize("source,line,column,message", [

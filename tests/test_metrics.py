@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 
@@ -178,6 +180,18 @@ def test_deep_chain_has_no_recursion_limit(kind, metric, depth, reverse):
     assert compute_metrics(d)[metric] == 9999
     assert depth(d, "C0") == 9999
     assert depth(d, "C9999") == 0
+
+
+def test_per_class_depths_are_constant_time_lookups():
+    # A class-name scan per call took about 2 s for dit over 6400 classes.
+    d = _chain(RelKind.GENERALIZATION, 10**4, reverse=False)
+    names = d.class_names()
+    start = time.perf_counter()
+    depths = [(dit(d, c), hagg(d, c)) for c in names]
+    assert time.perf_counter() - start < 1.0
+    assert depths[0] == (9999, 0) and depths[-1] == (0, 0)
+    with pytest.raises(UnknownClass):
+        dit(d, "Nowhere")
 
 
 @pytest.mark.parametrize("measure", [
