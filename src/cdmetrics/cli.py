@@ -20,7 +20,7 @@ from pathlib import Path
 from . import corpus as corpus_io
 from .diagram import ClassDiagram, validate
 from .dsl import from_dict, parse
-from .errors import CdmetricsError, DiagramError, DiagramFormatError, ModelError, read_file
+from .errors import CdmetricsError, DiagramError, DiagramFormatError, ModelError, naming, read_file
 from .metrics import METRIC_NAMES, compute_metrics
 from .regression import (
     PUBLISHED_UNDERSTANDABILITY_MODEL,
@@ -131,10 +131,21 @@ def _load_diagram(path) -> ClassDiagram:
     return read_file(path, DiagramFormatError, lambda text: validate(decode(text)))
 
 
+def _unique_keys(pairs) -> dict:
+    """json object_pairs_hook: the object, or a ValueError for a key named twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r:.40} named twice")
+        obj[key] = value
+    return obj
+
+
 def _load_model(path: str | None) -> LinearModel:
     if path is None:
         return PUBLISHED_UNDERSTANDABILITY_MODEL
-    return read_file(path, ModelError, lambda text: LinearModel.from_json_obj(json.loads(text)))
+    return read_file(path, ModelError, lambda text: LinearModel.from_json_obj(
+        json.loads(text, object_pairs_hook=_unique_keys)))
 
 
 def _estimate(model: LinearModel, model_path: str | None, metrics) -> float:
@@ -175,7 +186,9 @@ def _cmd_estimate(args):
 
 
 def _cmd_fit(args):
-    model = fit(corpus_io.load_rating_corpus(args.corpus), args.predictors)
+    samples = corpus_io.load_rating_corpus(args.corpus)
+    with naming(args.corpus):
+        model = fit(samples, args.predictors)
     return model.to_json_obj(), EXIT_OK, None
 
 
@@ -186,7 +199,8 @@ def _cmd_validate(args):
         read_file(args.corpus, corpus_io.CorpusError), args.corpus,
         lambda name: _estimate(model, args.model, compute_metrics(_load_diagram(base / name))),
     )
-    report = spearman(pairs, DifferenceMode(args.mode), alpha=args.alpha)
+    with naming(args.corpus):  # too few pairs; a diagram's error names the diagram
+        report = spearman(pairs, DifferenceMode(args.mode), alpha=args.alpha)
     critical = report.critical_value
     verdict = "significant" if report.significant else "not significant"
     # Every field of the report but the per-pair d, in field order.

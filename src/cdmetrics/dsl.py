@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship
-from .errors import DiagramFormatError, DslSyntaxError
+from .errors import DiagramFormatError, DslSyntaxError, check
 
 # The one identifier grammar, for DSL tokens and structured-data names alike.
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -194,13 +194,6 @@ def to_dict(diagram: ClassDiagram) -> dict:
     }
 
 
-def _check(value, kind: type, path: str = ""):
-    """value itself if it is a `kind`, else a DiagramFormatError at `path`."""
-    if isinstance(value, kind):
-        return value
-    raise DiagramFormatError(f"{path}: expected {kind.__name__}, got {value!r:.40}")
-
-
 def _ident(value, path: str) -> str:
     if isinstance(value, str) and _IDENT.match(value):
         return value
@@ -208,9 +201,9 @@ def _ident(value, path: str) -> str:
 
 
 def _class_decl(obj) -> ClassDecl:
-    name = _ident(_check(obj, dict).get("name"), ".name")
+    name = _ident(check(obj, dict, DiagramFormatError).get("name"), ".name")
     members = [
-        tuple([_ident(n, path) for n in _check(obj.get(key, []), list, path)])
+        tuple([_ident(n, path) for n in check(obj.get(key, []), list, DiagramFormatError, path)])
         for key, path in (("attributes", ".attributes"), ("methods", ".methods"))
     ]
     for label, names in zip(("attribute", "method"), members):
@@ -220,18 +213,19 @@ def _class_decl(obj) -> ClassDecl:
 
 
 def _relationship(obj) -> Relationship:
-    kind = _check(obj, dict).get("kind")
+    kind = check(obj, dict, DiagramFormatError).get("kind")
     if not isinstance(kind, str) or kind.lower() not in _KINDS:
         raise DiagramFormatError(f".kind: expected one of {', '.join(_KINDS)}, got {kind!r:.40}")
     # Endpoints only need to be strings: validate() checks them against the classes.
-    return Relationship(_KINDS[kind.lower()], _check(obj.get("from"), str, ".from"),
-                        _check(obj.get("to"), str, ".to"))
+    return Relationship(_KINDS[kind.lower()],
+                        check(obj.get("from"), str, DiagramFormatError, ".from"),
+                        check(obj.get("to"), str, DiagramFormatError, ".to"))
 
 
 def _items(data: dict, key: str, build) -> tuple:
     """build(item) for each item of data[key]; an error gets the item's path in front."""
     items = []
-    for i, obj in enumerate(_check(data.get(key, []), list, key)):
+    for i, obj in enumerate(check(data.get(key, []), list, DiagramFormatError, key)):
         try:
             items.append(build(obj))
         except DiagramFormatError as exc:
@@ -246,7 +240,7 @@ def from_dict(data) -> ClassDiagram:
     a name outside the DSL identifier grammar raises DiagramFormatError with
     the field's path, such as ``classes[0].attributes``.
     """
-    _check(data, dict, "diagram")
+    check(data, dict, DiagramFormatError, "diagram")
     return ClassDiagram(
         _ident(data.get("id", "unnamed"), "id"),
         _items(data, "classes", _class_decl),

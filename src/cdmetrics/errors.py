@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -109,17 +110,32 @@ class InvalidAlpha(ValidationInputError):
         super().__init__(f"alpha must be in (0, 0.5], got {alpha}")
 
 
-def read_file(path, error: type[CdmetricsError], decode=str):
-    """decode(the UTF-8 text of a file, less a leading byte-order mark).  A file
-    that cannot be read or decoded raises `error`; decode's own errors get the
-    file name in front."""
+def check(value, kind: type, error: type[CdmetricsError], path: str = ""):
+    """value itself if it is a `kind`, else `error` at the field `path`."""
+    if isinstance(value, kind):
+        return value
+    raise error(f"{path}: expected {kind.__name__}, got {value!r:.40}")
+
+
+@contextmanager
+def naming(path):
+    """An error raised in the block gets the name of the file at fault in front."""
     try:
-        return decode(Path(path).read_text(encoding="utf-8-sig"))
-    except OSError as exc:
-        raise error(f"{path}: {exc.strerror or exc}") from None
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep
-        raise error(f"{path}: {exc}") from None
+        yield
     except CdmetricsError as exc:
         # A DSL error's message starts with line:column, gcc-style.
         exc.args = (f"{path}{':' if isinstance(exc, DslSyntaxError) else ': '}{exc}",)
         raise
+
+
+def read_file(path, error: type[CdmetricsError], decode=str):
+    """decode(the UTF-8 text of a file, less a leading byte-order mark).  A file
+    that cannot be read or decoded raises `error`; every error gets the file
+    name in front."""
+    with naming(path):
+        try:
+            return decode(Path(path).read_text(encoding="utf-8-sig"))
+        except OSError as exc:
+            raise error(str(exc.strerror or exc)) from None
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep
+            raise error(str(exc)) from None

@@ -8,41 +8,37 @@ diagram metrics::
 New models over any subset of the eleven metrics are fitted by ordinary least
 squares on the design matrix itself (numpy.linalg.lstsq, an SVD solve), so
 the condition number is not squared as it would be by the normal equations.
+
+The records here check nothing: LinearModel.from_json_obj checks a model file,
+corpus.load_rating_corpus a fit corpus, and fit only what no reader can know,
+that the samples hold its predictors and that its solution is finite.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InsufficientSamples, ModelError, SingularDesign
+from .errors import InsufficientSamples, ModelError, SingularDesign, check
 from .metrics import METRIC_NAMES, MetricsVector
 
-_METRIC_SET = frozenset(METRIC_NAMES)
+
+def _number(value, path: str) -> float:
+    """A model file's number as a float: a finite JSON int or float, not a bool."""
+    # The comparison is exact, so NaN, an infinity and an int beyond floats all fail.
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ModelError(f"{path}: expected a finite number, got {value!r:.40}")
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Intercept plus named metric coefficients, all in rating units."""
+    """Intercept plus named metric coefficients, all in rating units; unchecked."""
 
     intercept: float
     coefficients: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(
-            (name, float(weight)) for name, weight in self.coefficients
-        ))
-        object.__setattr__(self, "intercept", float(self.intercept))
-        names = [name for name, _ in self.coefficients]
-        if len(set(names)) != len(names):
-            raise ModelError("duplicate metric name in coefficients")
-        unknown = set(names) - _METRIC_SET
-        if unknown:
-            raise ModelError(f"unknown metric name(s): {sorted(unknown)}")
-        for value in (self.intercept, *(w for _, w in self.coefficients)):
-            if not math.isfinite(value):
-                raise ModelError("model weights must be finite")
 
     def predictors(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.coefficients)
@@ -54,16 +50,19 @@ class LinearModel:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "LinearModel":
-        try:
-            intercept = float(obj["intercept"])
-            coefficients = tuple(
-                (str(name), float(weight))
-                for name, weight in obj["coefficients"].items()
-            )
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ModelError(f"malformed model object: {exc}") from exc
-        return cls(intercept, coefficients)
+    def from_json_obj(cls, obj) -> "LinearModel":
+        """The model of a model file's JSON object.  `intercept` and each weight
+        of the `coefficients` object must be finite JSON numbers and each name a
+        metric; other keys are ignored.  A fault is a ModelError naming the
+        field, such as ``coefficients.NA``."""
+        intercept = _number(check(obj, dict, ModelError, "model").get("intercept"), "intercept")
+        weights = check(obj.get("coefficients"), dict, ModelError, "coefficients")
+        coefficients = []
+        for name, weight in weights.items():
+            if name not in METRIC_NAMES:
+                raise ModelError(f"coefficients: unknown metric name {name!r:.40}")
+            coefficients.append((name, _number(weight, f"coefficients.{name}")))
+        return cls(intercept, tuple(coefficients))
 
 
 PUBLISHED_UNDERSTANDABILITY_MODEL = LinearModel(
@@ -112,7 +111,7 @@ def fit(samples: Sequence[RatedSample], predictors: Sequence[str]) -> LinearMode
     solution, _, rank, _ = np.linalg.lstsq(design, ratings, rcond=None)
     if rank < needed:
         raise SingularDesign()
-    return LinearModel(
-        intercept=solution[0],
-        coefficients=tuple(zip(predictors, solution[1:])),
-    )
+    weights = solution.tolist()  # plain floats
+    if not all(map(math.isfinite, weights)):
+        raise ModelError("model weights must be finite")
+    return LinearModel(intercept=weights[0], coefficients=tuple(zip(predictors, weights[1:])))

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import EmptyInput, InvalidAlpha, TooFewPairs, ValidationInputError
+from .errors import EmptyInput, InvalidAlpha, TooFewPairs
 
 
 class DifferenceMode(Enum):
@@ -27,14 +27,11 @@ class DifferenceMode(Enum):
     VALUE = "value"
 
 
-@dataclass(frozen=True)
-class RatedPair:
+class RatedPair(NamedTuple):
+    """A known rating and the computed value to rank it against, unchecked."""
+
     known: float
     computed: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.known) and math.isfinite(self.computed)):
-            raise ValidationInputError("pair values must be finite")
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,11 @@ def spearman(
 ) -> ValidationReport:
     """Correlation report for known-vs-computed pairs.
 
-    With fewer than 4 pairs the significance threshold is undefined; the
-    report then carries critical_value = NaN and significant = False.
+    The pairs are not checked here: their reader makes every value finite
+    (corpus.validation_pairs for the known and computed cells, and the CLI's
+    estimate check for a value estimated from a diagram).  With fewer than
+    4 pairs the significance threshold is undefined; the report then carries
+    critical_value = NaN and significant = False.
     """
     n = len(pairs)
     if n < 2:

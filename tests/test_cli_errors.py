@@ -120,6 +120,45 @@ CASES = {
         {"v.csv": "id,known,diagram\na,1,e.cd\nb,2,e.cd\n", "m.model": OVERFLOWING_MODEL,
          "e.cd": TWO_ATTRIBUTES},
         ["validate", "v.csv", "--model", "m.model"], 4, "m.model: model gives a non-finite"),
+    "model_string_intercept": (
+        {"m.model": '{"intercept": "1.5", "coefficients": {}}', "e.cd": "class A {}"},
+        ["estimate", "--model", "m.model", "e.cd"], 4,
+        "m.model: intercept: expected a finite number, got '1.5'"),
+    "model_bool_weight": (
+        {"m.model": '{"intercept": 1, "coefficients": {"NA": true}}', "e.cd": "class A {}"},
+        ["estimate", "--model", "m.model", "e.cd"], 4,
+        "m.model: coefficients.NA: expected a finite number, got True"),
+    "model_coefficients_list": (
+        {"m.model": '{"intercept": 1, "coefficients": [["NA", 1]]}', "e.cd": "class A {}"},
+        ["estimate", "--model", "m.model", "e.cd"], 4, "m.model: coefficients: expected dict"),
+    "model_nan": ({"m.model": '{"intercept": NaN, "coefficients": {}}', "e.cd": "class A {}"},
+                  ["estimate", "--model", "m.model", "e.cd"], 4, "m.model: intercept:"),
+    "model_infinity": (
+        {"m.model": '{"intercept": 1, "coefficients": {"NA": Infinity}}', "e.cd": "class A {}"},
+        ["estimate", "--model", "m.model", "e.cd"], 4, "m.model: coefficients.NA:"),
+    "model_float_too_large": (
+        {"m.model": '{"intercept": 1e400, "coefficients": {}}', "e.cd": "class A {}"},
+        ["estimate", "--model", "m.model", "e.cd"], 4, "m.model: intercept:"),
+    "model_unknown_name": (
+        {"m.model": '{"intercept": 1, "coefficients": {"XX": 1}}', "e.cd": "class A {}"},
+        ["estimate", "--model", "m.model", "e.cd"], 4,
+        "m.model: coefficients: unknown metric name 'XX'"),
+    "model_repeated_name": (
+        {"m.model": '{"intercept": 1, "coefficients": {"NA": 1, "NA": 5}}', "e.cd": "class A {}"},
+        ["estimate", "--model", "m.model", "e.cd"], 4, "m.model: key 'NA' named twice"),
+    "fit_corpus_without_predictor": ({"f.csv": "NA,rating\n1,2\n2,3\n3,5\n"},
+                                     ["fit", "f.csv", "--predictors", "NA,NM"], 4,
+                                     "f.csv: sample missing predictor(s): ['NM']"),
+    "fit_corpus_one_row": ({"f.csv": "NA,rating\n1,2\n"}, ["fit", "f.csv", "--predictors", "NA"],
+                           4, "f.csv: need at least 2 samples, got 1"),
+    "fit_corpus_constant_predictor": ({"f.csv": "NA,rating\n1,2\n1,3\n1,4\n"},
+                                      ["fit", "f.csv", "--predictors", "NA"], 4,
+                                      "f.csv: design columns are linearly dependent"),
+    "fit_corpus_non_finite_solution": ({"f.csv": "NA,rating\n0,-1.7e308\n1,1.7e308\n"},
+                                       ["fit", "f.csv", "--predictors", "NA"], 4,
+                                       "f.csv: model weights must be finite"),
+    "validate_one_row": ({"v.csv": "id,known,computed\na,1,1\n"}, ["validate", "v.csv"], 4,
+                         "v.csv: need at least 2 pairs, got 1"),
     "metrics_every_input_failed": ({"bad.cd": "clazz A\n"}, ["metrics", "bad.cd"], 2, "bad.cd"),
     "estimate_every_input_failed": ({"bad.cd": "clazz A\n"}, ["estimate", "bad.cd"], 2, "bad.cd"),
 }

@@ -40,12 +40,18 @@ def test_estimate_larger_diagram():
 
 
 def test_model_rejects_unknown_metric_and_nonfinite():
-    with pytest.raises(ModelError):
-        LinearModel(0.0, (("NotAMetric", 1.0),))
-    with pytest.raises(ModelError):
-        LinearModel(float("nan"), ())
-    with pytest.raises(ModelError):
-        LinearModel(0.0, (("NA", 1.0), ("NA", 2.0)))
+    with pytest.raises(ModelError, match="coefficients: unknown metric name 'NotAMetric'"):
+        LinearModel.from_json_obj({"intercept": 0, "coefficients": {"NotAMetric": 1.0}})
+    with pytest.raises(ModelError, match="^intercept: expected a finite number, got nan$"):
+        LinearModel.from_json_obj({"intercept": float("nan"), "coefficients": {}})
+    with pytest.raises(ModelError, match="^coefficients.NA: expected a finite number"):
+        LinearModel.from_json_obj({"intercept": 0, "coefficients": {"NA": 10 ** 400}})
+
+
+def test_model_reader_takes_json_ints_as_floats_and_ignores_other_keys():
+    model = LinearModel.from_json_obj({"intercept": 1, "coefficients": {"NA": 2}, "r2": 0.5})
+    assert model == LinearModel(1.0, (("NA", 2.0),))
+    assert all(type(v) is float for v in (model.intercept, *dict(model.coefficients).values()))
 
 
 def test_model_json_round_trip():
@@ -83,6 +89,12 @@ def test_fit_recovers_published_plane():
     assert weights["NAssoc"] == pytest.approx(0.129, abs=1e-9)
     assert weights["NA"] == pytest.approx(0.0463, abs=1e-9)
     assert weights["MaxDIT"] == pytest.approx(0.3405, abs=1e-9)
+
+
+def test_fitted_weights_are_plain_floats():
+    rows = [(0, 1, 2.0), (1, 0, 3.5), (2, 2, 4.0), (3, 1, 6.5)]
+    model = fit(_samples(rows, ["NA", "NM"]), ["NA", "NM"])
+    assert all(type(w) is float for w in (model.intercept, *dict(model.coefficients).values()))
 
 
 def test_fit_insufficient_samples():
