@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -127,12 +128,11 @@ def _exit_code(exc: CdmetricsError) -> int:
 
 def _load_diagram(path) -> ClassDiagram:
     """Read, parse and validate one diagram file."""
-    decode = (lambda text: from_dict(json.loads(text))) if Path(path).suffix == ".json" else parse
+    decode = (lambda text: from_dict(_decode_json(text))) if Path(path).suffix == ".json" else parse
     return read_file(path, DiagramFormatError, lambda text: validate(decode(text)))
 
 
 def _unique_keys(pairs) -> dict:
-    """json object_pairs_hook: the object, or a ValueError for a key named twice."""
     obj = {}
     for key, value in pairs:
         if key in obj:
@@ -141,11 +141,14 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+# The one JSON decoder of diagram and model files: an object that repeats a key is a ValueError.
+_decode_json = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 def _load_model(path: str | None) -> LinearModel:
     if path is None:
         return PUBLISHED_UNDERSTANDABILITY_MODEL
-    return read_file(path, ModelError, lambda text: LinearModel.from_json_obj(
-        json.loads(text, object_pairs_hook=_unique_keys)))
+    return read_file(path, ModelError, lambda text: LinearModel.from_json_obj(_decode_json(text)))
 
 
 def _estimate(model: LinearModel, model_path: str | None, metrics) -> float:
@@ -281,7 +284,11 @@ def main(argv=None) -> int:
     # An empty report (every input failed) leaves stdout empty.  Model files
     # are JSON, so fit writes JSON whatever --format says.
     if report and not args.quiet:
-        _emit(report, lines, "json" if args.command == "fit" else args.format)
+        try:
+            _emit(report, lines, "json" if args.command == "fit" else args.format)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left, as `| head -1` does: write on to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code
 
 

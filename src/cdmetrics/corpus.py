@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from importlib import resources
 from pathlib import Path
 
 from .errors import CdmetricsError, read_file
@@ -13,7 +12,7 @@ from .metrics import METRIC_NAMES
 from .regression import RatedSample
 from .spearman import RatedPair
 
-REFERENCE_RATINGS_RESOURCE = "table2.csv"
+REFERENCE_RATINGS = Path(__file__).with_name("data") / "table2.csv"
 # r_s the original study reports for the reference ratings, for comparison.
 REPORTED_RANK_CORRELATION = 0.9482
 
@@ -25,16 +24,13 @@ class CorpusError(CdmetricsError):
 def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str | None]], list[int]]:
     """Header names, the records, and the line each record ends on.
 
-    Names and fields are stripped; blank lines are skipped, and a record
-    shorter than the header is padded with None.
+    The delimiter is `,` if the header line has one, else `;` if it has one,
+    else a tab; quoting is Excel's.  Spaces after a delimiter and blank lines
+    are skipped, names and fields stripped, and a short record padded with None.
     """
-    try:
-        dialect = csv.Sniffer().sniff(text[:4096], delimiters=",;\t")
-        delimiter = dialect.delimiter
-    except csv.Error:  # a ragged row, say: split as the header line is split
-        dialect = csv.excel
-        delimiter = max(",;\t", key=text.partition("\n")[0].count)
-    reader = csv.reader(io.StringIO(text), dialect=dialect, delimiter=delimiter)
+    header_line = text.partition("\n")[0]
+    delimiter = next((d for d in ",;" if d in header_line), "\t")
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter, skipinitialspace=True)
     records, lines = [], []
     try:
         header = next(reader, None)
@@ -134,7 +130,4 @@ def validation_pairs(text: str, where: str, estimate_diagram=None) -> list[Rated
 
 def load_reference_ratings() -> list[RatedPair]:
     """The bundled 28-diagram known/computed rating pairs."""
-    text = (
-        resources.files("cdmetrics") / "data" / REFERENCE_RATINGS_RESOURCE
-    ).read_text(encoding="utf-8")
-    return validation_pairs(text, REFERENCE_RATINGS_RESOURCE)
+    return validation_pairs(read_file(REFERENCE_RATINGS, CorpusError), REFERENCE_RATINGS.name)

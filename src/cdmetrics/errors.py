@@ -85,8 +85,8 @@ class InsufficientSamples(ModelError):
 
 
 class SingularDesign(ModelError):
-    def __init__(self, detail: str = "design columns are linearly dependent"):
-        super().__init__(detail)
+    def __init__(self):
+        super().__init__("design columns are linearly dependent")
 
 
 class ValidationInputError(CdmetricsError):

@@ -101,14 +101,11 @@ def random_diagram(rng: random.Random, max_classes: int = 8) -> ClassDiagram:
 
 def read_rows_dictreader(text: str, where: str):
     """Header names, the records as dicts (stripped), and each record's line:
-    the corpus reader as it was before it read rows as lists."""
-    try:
-        dialect = csv.Sniffer().sniff(text[:4096], delimiters=",;\t")
-        delimiter = dialect.delimiter
-    except csv.Error:
-        dialect = csv.excel
-        delimiter = max(",;\t", key=text.partition("\n")[0].count)
-    reader = csv.DictReader(io.StringIO(text), dialect=dialect, delimiter=delimiter)
+    the corpus reader as it was before it read rows as lists, with the
+    delimiter the header line gives (a comma, else a semicolon, else a tab)."""
+    header_line = text.split("\n")[0]
+    delimiter = "," if "," in header_line else ";" if ";" in header_line else "\t"
+    reader = csv.DictReader(io.StringIO(text), delimiter=delimiter, skipinitialspace=True)
     rows, lines = [], []
     try:
         if not reader.fieldnames:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,10 @@ BIG = (
     "assoc A -- B\nassoc A -- C\nassoc A -- D\nassoc B -- C\nassoc B -- D\n"
     "gen C => B\ngen B => A\n"
 )  # NAssoc=5, NA=20, MaxDIT=2
+
+# A fresh interpreter's environment, in which the package imports from this checkout.
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def _write(tmp_path, name, text):
@@ -284,3 +292,22 @@ def test_input_file_may_start_with_a_utf8_bom(tmp_path, monkeypatch, capsys, cas
         assert main(argv) == 0, capsys.readouterr().err
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_a_reader_that_closes_early_ends_the_run_quietly(tmp_path):
+    # 3000 rows are past the 64 KB a pipe holds, so writing goes on after the reader closes.
+    _write(tmp_path, "one.cd", SINGLE_CLASS)
+    proc = subprocess.Popen([sys.executable, "-m", "cdmetrics.cli", "metrics", *["one.cd"] * 3000],
+                            cwd=tmp_path, env=SRC_ENV, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline().split()[:2] == [b"file", b"id"]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_cli_import_leaves_importlib_resources_out():
+    code = "import sys, cdmetrics.cli; print('importlib.resources' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=SRC_ENV,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

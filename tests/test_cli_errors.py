@@ -71,6 +71,9 @@ CASES = {
     "json_attributes_string": (
         {"d.json": json.dumps({"classes": [{"name": "A", "attributes": "abc"}]})},
         ["metrics", "d.json"], 2, "d.json"),
+    "json_repeated_key": (
+        {"d.json": '{"id": "d", "classes": [{"name": "A", "attributes": ["x"]}], "classes": []}'},
+        ["metrics", "d.json"], 2, "d.json: key 'classes' named twice"),
     "cd_not_utf8": ({"d.cd": b"class A {}\n\xff\n"}, ["metrics", "d.cd"], 2, "d.cd"),
     "fit_corpus_infinite_predictor": ({"c.csv": "NA,rating\ninf,1\n1,2\n2,3\n"},
                                       ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv"),

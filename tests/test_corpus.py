@@ -1,13 +1,17 @@
 """The corpus readers against a reader that builds one dict per row and reads
 each cell back by column name (tests/oracles.py): the same samples or rows
 on a valid corpus, the same CorpusError message, line included, on a bad one.
+The header the readers split is checked against the names the corpus was
+written with, and the delimiter and quoting rules against fixed corpora.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdmetrics.corpus import CorpusError, load_rating_corpus, parse_validation_rows
+from cdmetrics.corpus import CorpusError, _read_rows, load_rating_corpus, parse_validation_rows
 
 from .oracles import rating_corpus_by_column, validation_rows_by_column
 
@@ -18,9 +22,9 @@ TOO_LARGE = "1" * 140_000  # past csv's default field size limit of 131 072
 
 @st.composite
 def corpora(draw, required, optional, extra_cells=()):
-    """Delimited text with the required columns in any order, and any of:
-    padded, quoted or non-numeric cells, short and long rows, blank lines,
-    CRLF and a field too large to read."""
+    """(column names, delimited text) with the required columns in any order,
+    and any of: padded, quoted or non-numeric cells, short and long rows,
+    blank lines, CRLF and a field too large to read."""
     names = required + draw(st.lists(st.sampled_from(optional), unique=True))
     names = draw(st.permutations(names))
     delimiter = draw(st.sampled_from([",", ";", "\t"]))
@@ -46,7 +50,7 @@ def corpora(draw, required, optional, extra_cells=()):
         lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
         lines.append(delimiter.join(map(render, row)))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+    return names, newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
 
 
 def _outcome(read, *args):
@@ -56,9 +60,15 @@ def _outcome(read, *args):
         return str(exc)
 
 
+fit_corpora = corpora(["rating", "NA"], ["NM", "NAssoc", "MaxDIT", "NGen", "NC", "NDep", "x"])
+validation_corpora = corpora(["known", "computed"], ["id", "diagram", "note"],
+                             extra_cells=["d.cd"])
+
+
 @settings(max_examples=400, deadline=None)
-@given(corpora(["rating", "NA"], ["NM", "NAssoc", "MaxDIT", "NGen", "NC", "NDep", "x"]))
-def test_fit_corpus_reader_matches_the_by_column_oracle(tmp_path_factory, text):
+@given(fit_corpora)
+def test_fit_corpus_reader_matches_the_by_column_oracle(tmp_path_factory, corpus):
+    _, text = corpus
     path = tmp_path_factory.mktemp("fit") / "fit.csv"
     path.write_bytes(text.encode("utf-8"))
     got = _outcome(load_rating_corpus, path)
@@ -71,13 +81,53 @@ def test_fit_corpus_reader_matches_the_by_column_oracle(tmp_path_factory, text):
 
 
 @settings(max_examples=400, deadline=None)
-@given(corpora(["known", "computed"], ["id", "diagram", "note"], extra_cells=["d.cd"]))
-def test_validation_reader_matches_the_by_column_oracle(text):
+@given(validation_corpora)
+def test_validation_reader_matches_the_by_column_oracle(corpus):
+    _, text = corpus
     got = _outcome(parse_validation_rows, text, "v.csv")
     want = _outcome(validation_rows_by_column, text, "v.csv")
     if isinstance(got, list) and isinstance(want, list):
         got, want = [list(r.items()) for r in got], [list(r.items()) for r in want]
     assert got == want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fit_corpora | validation_corpora)
+def test_the_header_read_back_is_the_one_written(corpus):
+    names, text = corpus
+    try:
+        got, _, _ = _read_rows(text, "c.csv")
+    except CorpusError as exc:  # a flawed record, at a line past the header's
+        line = re.match(r"c\.csv:(\d+): ", str(exc))
+        assert line and int(line[1]) > 1, str(exc)
+    else:
+        assert got == names
+
+
+# Tab-aligned columns split on the header line's delimiter, not on the tabs.
+@pytest.mark.parametrize("text, want", [
+    ("NA\t;\trating\n1\t;\t2\n2\t;\t3\n3\t;\t5\n", [({"NA": 1.0}, 2.0), ({"NA": 2.0}, 3.0),
+                                                      ({"NA": 3.0}, 5.0)]),
+    ("NA\t;rating\n1\t;2\n2\t;3\n", [({"NA": 1.0}, 2.0), ({"NA": 2.0}, 3.0)]),
+])
+def test_tab_aligned_fit_corpus_is_read(tmp_path, text, want):
+    path = tmp_path / "fit.csv"
+    path.write_text(text, encoding="utf-8")
+    assert [(s.predictors, s.rating) for s in load_rating_corpus(path)] == want
+
+
+def test_tab_aligned_validation_corpus_is_read():
+    text = "id\t;\tknown\t;\tcomputed\na\t;\t1\t;\t1.2\nb\t;\t2\t;\t1.9\n"
+    assert parse_validation_rows(text, "v.csv") == [
+        {"id": "a", "known": "1", "computed": "1.2"}, {"id": "b", "known": "2", "computed": "1.9"}]
+
+
+# Quoting is Excel's wherever the record is: past the first 4 KB too.
+@pytest.mark.parametrize("rows_before", [0, 1000])
+def test_a_doubled_quote_reads_as_one(rows_before):
+    text = "id,known,computed\n" + "x,1,2\n" * rows_before + '"say ""hi""",3,4\n'
+    assert parse_validation_rows(text, "v.csv")[-1] == {"id": 'say "hi"', "known": "3",
+                                                        "computed": "4"}
 
 
 @pytest.mark.parametrize("text,message", [
