@@ -15,8 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
-from pathlib import Path
 
 from . import corpus as corpus_io
 from .diagram import ClassDiagram, validate
@@ -128,7 +126,8 @@ def _exit_code(exc: CdmetricsError) -> int:
 
 def _load_diagram(path) -> ClassDiagram:
     """Read, parse and validate one diagram file."""
-    decode = (lambda text: from_dict(_decode_json(text))) if Path(path).suffix == ".json" else parse
+    is_json = os.path.splitext(path)[1] == ".json"
+    decode = (lambda text: from_dict(_decode_json(text))) if is_json else parse
     return read_file(path, DiagramFormatError, lambda text: validate(decode(text)))
 
 
@@ -197,17 +196,18 @@ def _cmd_fit(args):
 
 def _cmd_validate(args):
     model = _load_model(args.model)
-    base = Path(args.corpus).parent
+    base = os.path.dirname(args.corpus)
     pairs = corpus_io.validation_pairs(
         read_file(args.corpus, corpus_io.CorpusError), args.corpus,
-        lambda name: _estimate(model, args.model, compute_metrics(_load_diagram(base / name))),
+        lambda name: _estimate(model, args.model,
+                               compute_metrics(_load_diagram(os.path.join(base, name)))),
     )
     with naming(args.corpus):  # too few pairs; a diagram's error names the diagram
         report = spearman(pairs, DifferenceMode(args.mode), alpha=args.alpha)
     critical = report.critical_value
     verdict = "significant" if report.significant else "not significant"
     # Every field of the report but the per-pair d, in field order.
-    record = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "d"}
+    record = {name: value for name, value in report._asdict().items() if name != "d"}
     record.update(mode=report.mode.value,
                   critical_value=None if math.isnan(critical) else critical)
     return record, EXIT_OK, [

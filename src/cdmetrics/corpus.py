@@ -5,14 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from pathlib import Path
+import os
 
 from .errors import CdmetricsError, read_file
 from .metrics import METRIC_NAMES
 from .regression import RatedSample
 from .spearman import RatedPair
 
-REFERENCE_RATINGS = Path(__file__).with_name("data") / "table2.csv"
+REFERENCE_RATINGS = os.path.join(os.path.dirname(__file__), "data", "table2.csv")
 # r_s the original study reports for the reference ratings, for comparison.
 REPORTED_RANK_CORRELATION = 0.9482
 
@@ -68,7 +68,7 @@ def _number(row: dict, column: str, where: str) -> float:
     return value
 
 
-def load_rating_corpus(path: str | Path) -> list[RatedSample]:
+def load_rating_corpus(path: str) -> list[RatedSample]:
     """Fit corpus: predictor columns plus a `rating` column, in any order.
 
     Every other column must name a metric, checked once at the header.
@@ -130,4 +130,4 @@ def validation_pairs(text: str, where: str, estimate_diagram=None) -> list[Rated
 
 def load_reference_ratings() -> list[RatedPair]:
     """The bundled 28-diagram known/computed rating pairs."""
-    return validation_pairs(read_file(REFERENCE_RATINGS, CorpusError), REFERENCE_RATINGS.name)
+    return validation_pairs(read_file(REFERENCE_RATINGS, CorpusError), "table2.csv")

@@ -1,11 +1,11 @@
-"""Immutable in-memory class-diagram model with structural validation."""
+"""In-memory class-diagram model with structural validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 from .errors import (
     AggregationCycle,
@@ -22,8 +22,7 @@ class RelKind(Enum):
     GENERALIZATION = "generalization"
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+class ClassDecl(NamedTuple):
     """A class with its declared attribute and method names, in source order."""
 
     name: str
@@ -31,8 +30,7 @@ class ClassDecl:
     methods: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Relationship:
+class Relationship(NamedTuple):
     """An edge between two declared classes.
 
     Directionality by kind: aggregation is whole -> part, dependency is
@@ -45,7 +43,6 @@ class Relationship:
     target: str
 
 
-@dataclass(frozen=True, eq=False)
 class ClassDiagram:
     """A named set of classes plus relationships, in declaration order.
 
@@ -53,16 +50,20 @@ class ClassDiagram:
     per-kind relationship sequences.  The interleaving of different kinds in
     the relationship list is presentation order only, so canonical
     serialization (which groups by kind) round-trips to an equal diagram.
-    The name set, the per-kind grouping and the hierarchy depths are worked
-    out on first use and cached on the instance.  A diagram is not hashable.
+    A plain class whose attributes must not be reassigned: the name set, the
+    per-kind grouping and the hierarchy depths are worked out on first use
+    and cached on the instance.  A diagram is not hashable.
     """
 
-    id: str = "unnamed"
-    classes: tuple[ClassDecl, ...] = ()
-    relationships: tuple[Relationship, ...] = ()
+    def __init__(self, id: str = "unnamed", classes: tuple[ClassDecl, ...] = (),
+                 relationships: tuple[Relationship, ...] = ()):
+        self.id = id
+        self.classes = classes
+        self.relationships = relationships
 
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.classes)
+    def __repr__(self):
+        return (f"ClassDiagram(id={self.id!r}, classes={self.classes!r}, "
+                f"relationships={self.relationships!r})")
 
     @cached_property
     def name_set(self) -> frozenset[str]:
@@ -138,7 +139,7 @@ def validate(diagram: ClassDiagram) -> ClassDiagram:
     for rel in diagram.relationships:
         for endpoint in (rel.source, rel.target):
             if endpoint not in seen:
-                raise UnknownEndpoint(rel, endpoint)
+                raise UnknownEndpoint(rel.kind, endpoint)
 
     diagram.depths  # raises on a duplicate hierarchy edge or a cycle
     return diagram

@@ -21,7 +21,7 @@ alone on its line, follow the last body entry, or close an empty body on the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship
 from .errors import DiagramFormatError, DslSyntaxError, check
@@ -38,8 +38,7 @@ _ARROWS = {
 }
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int
     column: int
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from pathlib import Path
 
 
 class CdmetricsError(Exception):
@@ -16,22 +15,17 @@ class DiagramError(CdmetricsError):
 
 class DuplicateClass(DiagramError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"class {name!r} declared more than once")
 
 
 class UnknownEndpoint(DiagramError):
-    def __init__(self, relationship, name: str):
-        self.relationship = relationship
+    def __init__(self, kind, name: str):
         self.name = name
-        super().__init__(
-            f"{relationship.kind.value} relationship references undeclared class {name!r}"
-        )
+        super().__init__(f"{kind.value} relationship references undeclared class {name!r}")
 
 
 class UnknownClass(DiagramError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"no class named {name!r} in diagram")
 
 
@@ -56,8 +50,6 @@ class AggregationCycle(HierarchyCycle):
 
 class DuplicateHierarchyEdge(DiagramError):
     def __init__(self, kind, pair: tuple[str, str]):
-        self.kind = kind
-        self.pair = pair
         super().__init__(f"duplicate {kind.value} edge {pair[0]} -> {pair[1]}")
 
 
@@ -79,8 +71,6 @@ class ModelError(CdmetricsError):
 
 class InsufficientSamples(ModelError):
     def __init__(self, needed: int, got: int):
-        self.needed = needed
-        self.got = got
         super().__init__(f"need at least {needed} samples, got {got}")
 
 
@@ -100,13 +90,11 @@ class EmptyInput(ValidationInputError):
 
 class TooFewPairs(ValidationInputError):
     def __init__(self, n: int, minimum: int = 2):
-        self.n = n
         super().__init__(f"need at least {minimum} pairs, got {n}")
 
 
 class InvalidAlpha(ValidationInputError):
     def __init__(self, alpha: float):
-        self.alpha = alpha
         super().__init__(f"alpha must be in (0, 0.5], got {alpha}")
 
 
@@ -134,7 +122,8 @@ def read_file(path, error: type[CdmetricsError], decode=str):
     name in front."""
     with naming(path):
         try:
-            return decode(Path(path).read_text(encoding="utf-8-sig"))
+            with open(path, encoding="utf-8-sig") as file:
+                return decode(file.read())
         except OSError as exc:
             raise error(str(exc.strerror or exc)) from None
         except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep

@@ -8,14 +8,15 @@ depths (MaxHAgg, MaxDIT).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .diagram import ClassDiagram, RelKind
 from .errors import UnknownClass
 
 
-@dataclass(frozen=True)
-class MetricsVector:
+class MetricsVector(NamedTuple):
+    """The eleven metrics; unlike a tuple's, an index is a metric name."""
+
     NC: int = 0
     NA: int = 0
     NM: int = 0
@@ -29,7 +30,7 @@ class MetricsVector:
     MaxDIT: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
+        return self._asdict()
 
     def __getitem__(self, name: str) -> int:
         if name not in METRIC_NAMES:
@@ -37,7 +38,7 @@ class MetricsVector:
         return getattr(self, name)
 
 
-METRIC_NAMES = tuple(f.name for f in fields(MetricsVector))
+METRIC_NAMES = MetricsVector._fields
 
 
 def _depth_metric(diagram: ClassDiagram, cls: str, kind: RelKind) -> int:

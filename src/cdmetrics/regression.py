@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InsufficientSamples, ModelError, SingularDesign, check
@@ -33,8 +32,7 @@ def _number(value, path: str) -> float:
     raise ModelError(f"{path}: expected a finite number, got {value!r:.40}")
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(NamedTuple):
     """Intercept plus named metric coefficients, all in rating units; unchecked."""
 
     intercept: float

@@ -14,12 +14,10 @@ start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
-from .errors import EmptyInput, InvalidAlpha, TooFewPairs
+from .errors import EmptyInput, InvalidAlpha, TooFewPairs, ValidationInputError
 
 
 class DifferenceMode(Enum):
@@ -34,8 +32,7 @@ class RatedPair(NamedTuple):
     computed: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     n: int
     mode: DifferenceMode
     d: tuple[float, ...]
@@ -95,6 +92,10 @@ def _t_ppf(p: float, nu: int) -> float:
     """
     if p == 1:
         return math.inf
+    # Imported here, not at module level, so that only validate and reproduce
+    # pay the statistics import at start-up.
+    from statistics import NormalDist
+
     a, tail_p = nu / 2, 2 * (1 - p)
     # log(Gamma(a + 1/2) / Gamma(a)); at large a the lgamma difference loses digits.
     log_c = (math.lgamma(a + 0.5) - math.lgamma(a) if a < 100
@@ -145,7 +146,9 @@ def spearman(
 
     The pairs are not checked here: their reader makes every value finite
     (corpus.validation_pairs for the known and computed cells, and the CLI's
-    estimate check for a value estimated from a diagram).  With fewer than
+    estimate check for a value estimated from a diagram).  In value mode,
+    finite differences can still be too large for r_s, whose sum of squares
+    overflows; that raises ValidationInputError.  With fewer than
     4 pairs the significance threshold is undefined; the report then carries
     critical_value = NaN and significant = False.
     """
@@ -160,6 +163,8 @@ def spearman(
         d = [p.computed - p.known for p in pairs]
     sum_d_squared = sum(x * x for x in d)
     r_s = 1 - 6 * sum_d_squared / (n * (n * n - 1))
+    if not math.isfinite(r_s):  # only value mode's raw differences can be this large
+        raise ValidationInputError(f"differences too large: r_s overflows in {mode.value} mode")
     if n >= 4:
         critical, signif = significance(r_s, n, alpha)
     else:

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
 from hypothesis import strategies as st
 
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship
 
-identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+# [A-Za-z_][A-Za-z0-9_]{0,8}, drawn as a first character and a tail: several
+# times cheaper to generate than st.from_regex of the same pattern.
+_FIRST = string.ascii_letters + "_"
+identifiers = st.builds(str.__add__, st.sampled_from(_FIRST),
+                        st.text(_FIRST + string.digits, max_size=8))
 
 
 @st.composite
@@ -27,8 +32,9 @@ def valid_diagrams(draw, max_classes=6):
         if n < 2:
             continue
         pairs = draw(st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                lambda p: p[0] != p[1]
+            # j from the n - 1 indices other than i, without a rejecting filter
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+                lambda p: (p[0], p[1] + (p[1] >= p[0]))
             ),
             max_size=2 * n,
         ))

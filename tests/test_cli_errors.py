@@ -162,6 +162,10 @@ CASES = {
                                        "f.csv: model weights must be finite"),
     "validate_one_row": ({"v.csv": "id,known,computed\na,1,1\n"}, ["validate", "v.csv"], 4,
                          "v.csv: need at least 2 pairs, got 1"),
+    "validate_value_mode_overflows": (
+        {"v.csv": "id,known,computed\na,1,1e200\nb,2,2\nc,3,3\nd,4,4\n"},
+        ["validate", "v.csv", "--mode", "value"], 4,
+        "v.csv: differences too large: r_s overflows in value mode"),
     "metrics_every_input_failed": ({"bad.cd": "clazz A\n"}, ["metrics", "bad.cd"], 2, "bad.cd"),
     "estimate_every_input_failed": ({"bad.cd": "clazz A\n"}, ["estimate", "bad.cd"], 2, "bad.cd"),
 }

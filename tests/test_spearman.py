@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cdmetrics.corpus import load_reference_ratings
-from cdmetrics.errors import EmptyInput, InvalidAlpha, TooFewPairs
+from cdmetrics.errors import EmptyInput, InvalidAlpha, TooFewPairs, ValidationInputError
 from cdmetrics.spearman import (
     DifferenceMode,
     RatedPair,
@@ -64,6 +64,15 @@ def test_reversed_ordering_gives_minus_one():
 def test_too_few_pairs():
     with pytest.raises(TooFewPairs):
         spearman(_pairs([1], [2]))
+
+
+@pytest.mark.parametrize("computed", [1e200, 1e154])
+def test_value_mode_overflow_is_an_input_error(computed):
+    # At 1e200 d^2 overflows; at 1e154 the sum of d^2 is finite but 6 times it is not.
+    pairs = _pairs([1, 2, 3, 4], [computed, 2, 3, 4])
+    with pytest.raises(ValidationInputError, match="r_s overflows in value mode"):
+        spearman(pairs, DifferenceMode.VALUE)
+    assert math.isfinite(spearman(pairs).r_s)  # rank mode cannot overflow
 
 
 def test_two_pairs_allowed():
