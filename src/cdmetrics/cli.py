@@ -188,9 +188,9 @@ def _cmd_estimate(args):
 
 
 def _cmd_fit(args):
-    samples = corpus_io.load_rating_corpus(args.corpus)
+    rated = corpus_io.load_rating_corpus(args.corpus)
     with naming(args.corpus):
-        model = fit(samples, args.predictors)
+        model = fit(rated, args.predictors)
     return model.to_json_obj(), EXIT_OK, None
 
 

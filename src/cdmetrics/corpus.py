@@ -6,10 +6,11 @@ import csv
 import io
 import math
 import os
+import re
 
 from .errors import CdmetricsError, read_file
 from .metrics import METRIC_NAMES
-from .regression import RatedSample
+from .regression import RatingCorpus
 from .spearman import RatedPair
 
 REFERENCE_RATINGS = os.path.join(os.path.dirname(__file__), "data", "table2.csv")
@@ -25,11 +26,15 @@ def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str | None]]
     """Header names, the records, and the line each record ends on.
 
     The delimiter is `,` if the header line has one, else `;` if it has one,
-    else a tab; quoting is Excel's.  Spaces after a delimiter and blank lines
-    are skipped, names and fields stripped, and a short record padded with None.
+    else a tab; quoting is Excel's.  Spaces and tabs after a delimiter and blank
+    lines are skipped, names and fields stripped, and a short record padded with None.
     """
     header_line = text.partition("\n")[0]
     delimiter = next((d for d in ",;" if d in header_line), "\t")
+    if delimiter != "\t" and "\t" in text:  # skipinitialspace skips spaces, not tabs
+        # Padding tabs become spaces; a match ends with its field, so tabs in quotes stay.
+        field = rf'([ \t]*)((?:"(?:[^"]|"")*(?:"|\Z))?[^{delimiter}\r\n]*)'
+        text = re.sub(field, lambda m: m[1].replace("\t", " ") + m[2], text)
     reader = csv.reader(io.StringIO(text), delimiter=delimiter, skipinitialspace=True)
     records, lines = [], []
     try:
@@ -68,11 +73,12 @@ def _number(row: dict, column: str, where: str) -> float:
     return value
 
 
-def load_rating_corpus(path: str) -> list[RatedSample]:
-    """Fit corpus: predictor columns plus a `rating` column, in any order.
+def load_rating_corpus(path: str) -> RatingCorpus:
+    """Fit corpus, by column: predictor columns plus a `rating` column, in any order.
 
-    Every other column must name a metric, checked once at the header.
-    """
+    Every other column must name a metric, checked once at the header.  A cell
+    that is not a finite number is named: the first by row, then predictors in
+    header order, then rating."""
     where = str(path)
     names, records, _ = _read_rows(read_file(path, CorpusError), where)
     if "rating" not in names:
@@ -82,20 +88,17 @@ def load_rating_corpus(path: str) -> list[RatedSample]:
     unknown = set(predictors).difference(METRIC_NAMES)
     if unknown:
         raise CorpusError(f"{where}: unknown metric name(s): {sorted(unknown)}")
-    samples = []
-    for fields in records:
-        try:
-            values = list(map(float, fields))
-        except (TypeError, ValueError):  # a missing, empty or non-numeric cell
-            values = [math.nan]
-        if not all(map(math.isfinite, values)):
-            # Name the first bad cell: predictors in header order, then rating.
+    import numpy as np  # here, as in regression.fit, so that `validate` does not load it
+    try:  # float()'s reading of every cell at once; a short row's None is NaN
+        table = np.array(records, dtype=float).reshape(len(records), len(names))
+    except ValueError:  # an empty or non-numeric cell
+        table = None
+    if table is None or not np.isfinite(table).all():
+        for fields in records:
             row = dict(zip(names, fields))
             for column in (*predictors, "rating"):
                 _number(row, column, where)
-        rating = values.pop(at)
-        samples.append(RatedSample(dict(zip(predictors, values)), rating))
-    return samples
+    return RatingCorpus(tuple(predictors), np.delete(table, at, axis=1), table[:, at])
 
 
 def parse_validation_rows(text: str, where: str) -> list[dict[str, str]]:

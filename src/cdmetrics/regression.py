@@ -10,8 +10,8 @@ squares on the design matrix itself (numpy.linalg.lstsq, an SVD solve), so
 the condition number is not squared as it would be by the normal equations.
 
 The records here check nothing: LinearModel.from_json_obj checks a model file,
-corpus.load_rating_corpus a fit corpus, and fit only what no reader can know,
-that the samples hold its predictors and that its solution is finite.
+corpus.load_rating_corpus a fit corpus, which it reads by column into floats,
+and fit only that the corpus holds its predictors and its solution is finite.
 """
 
 from __future__ import annotations
@@ -69,11 +69,12 @@ PUBLISHED_UNDERSTANDABILITY_MODEL = LinearModel(
 )
 
 
-class RatedSample(NamedTuple):
-    """Predictor values for one diagram paired with its expert rating, unchecked."""
+class RatingCorpus(NamedTuple):
+    """Rated diagrams by column, unchecked: predictor names, n x p values, n ratings."""
 
-    predictors: Mapping[str, float]
-    rating: float
+    predictors: tuple[str, ...]
+    values: numpy.ndarray
+    ratings: numpy.ndarray
 
 
 def estimate(model: LinearModel, metrics: MetricsVector | Mapping[str, float]) -> float:
@@ -83,30 +84,27 @@ def estimate(model: LinearModel, metrics: MetricsVector | Mapping[str, float]) -
     )
 
 
-def fit(samples: Sequence[RatedSample], predictors: Sequence[str]) -> LinearModel:
-    """Ordinary least squares over the requested predictors plus an intercept.
+def fit(corpus: RatingCorpus, predictors: Sequence[str]) -> LinearModel:
+    """Ordinary least squares over the requested corpus columns plus an intercept.
 
-    Needs at least len(predictors) + 1 samples and a full-rank design;
-    otherwise raises InsufficientSamples or SingularDesign.
+    Needs at least len(predictors) + 1 rows, the predictors among the corpus's
+    columns and a full-rank design; otherwise raises InsufficientSamples,
+    ModelError or SingularDesign.
     """
-    predictors = list(predictors)
     needed = len(predictors) + 1
-    if len(samples) < needed:
-        raise InsufficientSamples(needed, len(samples))
-    wanted = set(predictors)
-    for sample in samples:
-        if not sample.predictors.keys() >= wanted:
-            missing = wanted - sample.predictors.keys()
-            raise ModelError(f"sample missing predictor(s): {sorted(missing)}")
+    rows = len(corpus.ratings)
+    if rows < needed:
+        raise InsufficientSamples(needed, rows)
+    if missing := set(predictors).difference(corpus.predictors):
+        raise ModelError(f"sample missing predictor(s): {sorted(missing)}")
 
     # Imported here, not at module level, so that the `metrics` and `estimate`
     # paths do not pay numpy's import time at start-up.
     import numpy as np
 
-    design = np.ones((len(samples), needed))
-    design[:, 1:] = [[s.predictors[p] for p in predictors] for s in samples]
-    ratings = np.array([s.rating for s in samples])
-    solution, _, rank, _ = np.linalg.lstsq(design, ratings, rcond=None)
+    design = np.ones((rows, needed))
+    design[:, 1:] = corpus.values[:, [corpus.predictors.index(p) for p in predictors]]
+    solution, _, rank, _ = np.linalg.lstsq(design, corpus.ratings, rcond=None)
     if rank < needed:
         raise SingularDesign()
     weights = solution.tolist()  # plain floats

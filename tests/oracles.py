@@ -99,12 +99,37 @@ def random_diagram(rng: random.Random, max_classes: int = 8) -> ClassDiagram:
 
 # --- corpora, read one dict per row and one cell at a time by column name ---------
 
+def tabs_before_fields_as_spaces(text: str, delimiter: str) -> str:
+    """The text with each tab that stands before a field's first character, and
+    outside quotes, made a space: one character at a time through Excel's
+    quoting states."""
+    out, state = [], "start"  # start of a field, in a field, quoted, a quote in quotes
+    for c in text:
+        if state == "quoted":
+            state = "quote" if c == '"' else "quoted"
+        elif state == "quote" and c == '"':  # a doubled quote: still quoted
+            state = "quoted"
+        elif c in (delimiter, "\r", "\n"):
+            state = "start"
+        elif state == "start" and c in " \t":
+            c = " "
+        elif state == "start" and c == '"':
+            state = "quoted"
+        else:
+            state = "field"
+        out.append(c)
+    return "".join(out)
+
+
 def read_rows_dictreader(text: str, where: str):
     """Header names, the records as dicts (stripped), and each record's line:
     the corpus reader as it was before it read rows as lists, with the
     delimiter the header line gives (a comma, else a semicolon, else a tab)."""
     header_line = text.split("\n")[0]
     delimiter = "," if "," in header_line else ";" if ";" in header_line else "\t"
+    # A rule added since: tab padding before a field is skipped as spaces are,
+    # so a quote after it opens a quoted cell.
+    text = tabs_before_fields_as_spaces(text, delimiter)
     reader = csv.DictReader(io.StringIO(text), delimiter=delimiter, skipinitialspace=True)
     rows, lines = [], []
     try:

@@ -7,6 +7,7 @@ lines.
 import random
 import time
 
+import numpy as np
 import pytest
 
 from cdmetrics.corpus import load_reference_ratings
@@ -16,7 +17,7 @@ from cdmetrics.errors import DslSyntaxError, SingularDesign
 from cdmetrics.metrics import MetricsVector, compute_metrics
 from cdmetrics.regression import (
     PUBLISHED_UNDERSTANDABILITY_MODEL,
-    RatedSample,
+    RatingCorpus,
     estimate,
     fit,
 )
@@ -74,8 +75,8 @@ def test_criterion_4_regression_recovery():
         (0, 1, 0, 1.38145),
         (0, 0, 1, 1.67565),
     ]
-    samples = [RatedSample(dict(zip(predictors, r[:3])), r[3]) for r in rows]
-    model = fit(samples, predictors)
+    table = np.array(rows, dtype=float)
+    model = fit(RatingCorpus(tuple(predictors), table[:, :3], table[:, 3]), predictors)
     assert model.intercept == pytest.approx(1.33515, abs=1e-9)
     for name, expected in (("NAssoc", 0.129), ("NA", 0.0463), ("MaxDIT", 0.3405)):
         assert dict(model.coefficients)[name] == pytest.approx(expected, abs=1e-9)
@@ -89,21 +90,19 @@ def test_criterion_4_regression_recovery():
              "NAggH", "NGenH", "MaxHAgg", "MaxDIT"], p)
         intercept = rng.uniform(-5, 5)
         weights = [rng.uniform(-3, 3) for _ in range(p)]
-        planted = []
+        values, ratings = [], []
         for _ in range(n):
             x = [rng.uniform(-10, 10) for _ in range(p)]
-            y = intercept + sum(w * v for w, v in zip(weights, x))
-            planted.append(RatedSample(dict(zip(names, x)), y))
-        fitted = fit(planted, names)
+            values.append(x)
+            ratings.append(intercept + sum(w * v for w, v in zip(weights, x)))
+        fitted = fit(RatingCorpus(tuple(names), np.array(values), np.array(ratings)), names)
         assert fitted.intercept == pytest.approx(intercept, abs=1e-8, rel=1e-8)
         for name, w in zip(names, weights):
             assert dict(fitted.coefficients)[name] == pytest.approx(
                 w, abs=1e-8, rel=1e-8)
 
-    degenerate = [
-        RatedSample({"NA": float(v), "NM": float(v)}, float(v) + 1)
-        for v in range(5)
-    ]
+    v = np.arange(5.0)
+    degenerate = RatingCorpus(("NA", "NM"), np.column_stack([v, v]), v + 1)
     with pytest.raises(SingularDesign):
         fit(degenerate, ["NA", "NM"])
     _ok(4, "plane recovery to 1e-9, 100 planted models to 1e-8, "

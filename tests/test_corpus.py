@@ -5,13 +5,17 @@ The header the readers split is checked against the names the corpus was
 written with, and the delimiter and quoting rules against fixed corpora.
 """
 
+import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmetrics.corpus import CorpusError, _read_rows, load_rating_corpus, parse_validation_rows
+from cdmetrics.errors import InsufficientSamples
+from cdmetrics.regression import fit
 
 from .oracles import rating_corpus_by_column, validation_rows_by_column
 
@@ -38,6 +42,8 @@ def corpora(draw, required, optional, extra_cells=()):
         cell = draw(pad) + cell + draw(pad)
         if any(c in cell for c in f"{delimiter}\n\"") or draw(st.integers(0, 5)) == 0:
             cell = '"' + cell.replace('"', '""') + '"'
+            if delimiter != "\t":  # padding outside the quotes too
+                cell = draw(pad) + cell
         return cell
 
     lines = [delimiter.join(map(render, names))]
@@ -60,6 +66,12 @@ def _outcome(read, *args):
         return str(exc)
 
 
+def _by_row(rated):
+    """A RatingCorpus as the oracle's (predictors, rating) pairs, one a row."""
+    return [(dict(zip(rated.predictors, row)), rating)
+            for row, rating in zip(rated.values.tolist(), rated.ratings.tolist())]
+
+
 fit_corpora = corpora(["rating", "NA"], ["NM", "NAssoc", "MaxDIT", "NGen", "NC", "NDep", "x"])
 validation_corpora = corpora(["known", "computed"], ["id", "diagram", "note"],
                              extra_cells=["d.cd"])
@@ -72,12 +84,12 @@ def test_fit_corpus_reader_matches_the_by_column_oracle(tmp_path_factory, corpus
     path = tmp_path_factory.mktemp("fit") / "fit.csv"
     path.write_bytes(text.encode("utf-8"))
     got = _outcome(load_rating_corpus, path)
-    if isinstance(got, list):
-        got = [(list(s.predictors.items()), s.rating) for s in got]
+    if not isinstance(got, str):
+        got = [(list(predictors.items()), rating) for predictors, rating in _by_row(got)]
     want = _outcome(rating_corpus_by_column, path.read_text(encoding="utf-8"), str(path))
     if isinstance(want, list):
         want = [(list(predictors.items()), rating) for predictors, rating in want]
-    assert got == want
+    assert got == want  # floats compared exactly
 
 
 @settings(max_examples=400, deadline=None)
@@ -113,7 +125,20 @@ def test_the_header_read_back_is_the_one_written(corpus):
 def test_tab_aligned_fit_corpus_is_read(tmp_path, text, want):
     path = tmp_path / "fit.csv"
     path.write_text(text, encoding="utf-8")
-    assert [(s.predictors, s.rating) for s in load_rating_corpus(path)] == want
+    assert _by_row(load_rating_corpus(path)) == want
+
+
+# Tab padding before a field is skipped as space padding is, so a quote after
+# it opens a quoted cell; a tab inside the quotes is kept.
+@pytest.mark.parametrize("text, want", [
+    ('id,\tknown,\tcomputed\na,\t"1",\t2\n', {"id": "a", "known": "1", "computed": "2"}),
+    ('known,\tid,\tcomputed\n1,\t"b,c",\t2\n', {"known": "1", "id": "b,c", "computed": "2"}),
+    ('id;\tknown;\tcomputed\n\t"a;\t""b""";\t1;\t2\n',
+     {"id": 'a;\t"b"', "known": "1", "computed": "2"}),
+])
+def test_tab_padding_before_a_quoted_cell_is_skipped(text, want):
+    assert parse_validation_rows(text, "v.csv") == [want]
+    assert validation_rows_by_column(text, "v.csv") == [want]
 
 
 def test_tab_aligned_validation_corpus_is_read():
@@ -130,6 +155,31 @@ def test_a_doubled_quote_reads_as_one(rows_before):
                                                         "computed": "4"}
 
 
+# The table is converted in one numpy call, which must read each cell as float()
+# does: a finite cell as the same float, any other (or a short row's missing
+# cell) as bad, named as the by-row reader names it.
+@pytest.mark.parametrize("cell", ["1_0", " 1 ", "+.5", "\u0661", "1e400", "nan", "-inf", "", None])
+def test_bulk_conversion_reads_cells_as_float_does(tmp_path, cell):
+    def finite_or_bad(convert):
+        try:
+            value = float(convert(cell))
+        except (TypeError, ValueError):
+            return "bad"
+        return value if math.isfinite(value) else "bad"
+
+    want = finite_or_bad(float)
+    assert finite_or_bad(lambda c: np.array([["2", c]], dtype=float)[0, 1]) == want
+    text = "rating,NA\n2\n" if cell is None else f"rating,NA\n2,{cell}\n"
+    path = tmp_path / "fit.csv"
+    path.write_text(text, encoding="utf-8")
+    got = _outcome(load_rating_corpus, path)
+    oracle = _outcome(rating_corpus_by_column, text, str(path))
+    if want == "bad":
+        assert got == oracle and f"{path}: bad numeric value for column 'NA': " in got
+    else:
+        assert _by_row(got) == oracle == [({"NA": want}, 2.0)]
+
+
 @pytest.mark.parametrize("text,message", [
     # A csv.Error names the line csv.reader stopped on: the failing record's,
     # after any blank lines before it.
@@ -142,7 +192,7 @@ def test_a_doubled_quote_reads_as_one(rows_before):
     ("rating,NM,NA\nnan,x,inf\n", "bad numeric value for column 'NM': 'x'"),
     ("NM,NA,rating\n1, inf ,x\n", "bad numeric value for column 'NA': 'inf'"),
     ("NM,NA,rating\n1,2\n", "bad numeric value for column 'rating': None"),
-    ("NM,rating,NA\n\n", None),
+    ("NM,rating,NA\n\n", None),  # no rows
     # Every column but rating must name a metric, checked at the header:
     # before any cell, and also when no record follows.
     ("x,rating\n", "fit.csv: unknown metric name(s): ['x']"),
@@ -154,7 +204,11 @@ def test_fit_corpus_errors_and_lines(tmp_path, text, message):
     path = tmp_path / "fit.csv"
     path.write_text(text, encoding="utf-8")
     if message is None:
-        assert load_rating_corpus(path) == []
+        rated = load_rating_corpus(path)
+        assert rated.predictors == ("NM", "NA")
+        assert rated.values.shape == (0, 2) and rated.ratings.shape == (0,)
+        with pytest.raises(InsufficientSamples, match="need at least 2 samples, got 0"):
+            fit(rated, ["NA"])
         return
     with pytest.raises(CorpusError) as exc:
         load_rating_corpus(path)

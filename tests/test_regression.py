@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from cdmetrics.metrics import METRIC_NAMES, MetricsVector
 from cdmetrics.regression import (
     PUBLISHED_UNDERSTANDABILITY_MODEL,
     LinearModel,
-    RatedSample,
+    RatingCorpus,
     estimate,
     fit,
 )
@@ -63,14 +64,14 @@ def test_model_json_round_trip():
     assert LinearModel.from_json_obj(obj) == PUBLISHED
 
 
-def _samples(rows, predictors):
-    return [
-        RatedSample(dict(zip(predictors, row[:-1])), row[-1]) for row in rows
-    ]
+def _corpus(rows, predictors):
+    """The corpus of (predictor values..., rating) rows."""
+    table = np.array(rows, dtype=float).reshape(len(rows), len(predictors) + 1)
+    return RatingCorpus(tuple(predictors), table[:, :-1], table[:, -1])
 
 
 def test_fit_exact_line():
-    model = fit(_samples([(0, 2), (1, 3), (2, 4)], ["NAssoc"]), ["NAssoc"])
+    model = fit(_corpus([(0, 2), (1, 3), (2, 4)], ["NAssoc"]), ["NAssoc"])
     assert model.intercept == pytest.approx(2.0, abs=1e-9)
     assert dict(model.coefficients)["NAssoc"] == pytest.approx(1.0, abs=1e-9)
 
@@ -83,7 +84,7 @@ def test_fit_recovers_published_plane():
         (0, 1, 0, 1.38145),
         (0, 0, 1, 1.67565),
     ]
-    model = fit(_samples(rows, predictors), predictors)
+    model = fit(_corpus(rows, predictors), predictors)
     assert model.intercept == pytest.approx(1.33515, abs=1e-9)
     weights = dict(model.coefficients)
     assert weights["NAssoc"] == pytest.approx(0.129, abs=1e-9)
@@ -93,7 +94,7 @@ def test_fit_recovers_published_plane():
 
 def test_fitted_weights_are_plain_floats():
     rows = [(0, 1, 2.0), (1, 0, 3.5), (2, 2, 4.0), (3, 1, 6.5)]
-    model = fit(_samples(rows, ["NA", "NM"]), ["NA", "NM"])
+    model = fit(_corpus(rows, ["NA", "NM"]), ["NA", "NM"])
     assert all(type(w) is float for w in (model.intercept, *dict(model.coefficients).values()))
 
 
@@ -101,14 +102,23 @@ def test_fit_insufficient_samples():
     predictors = ["NAssoc", "NA", "MaxDIT"]
     rows = [(0, 0, 0, 1.0), (1, 0, 0, 2.0), (0, 1, 0, 3.0)]
     with pytest.raises(InsufficientSamples):
-        fit(_samples(rows, predictors), predictors)
+        fit(_corpus(rows, predictors), predictors)
+
+
+def test_fit_reads_the_requested_columns_in_the_requested_order():
+    rows = [(1, 5, 2, 2.0), (2, 3, 7, 3.5), (3, 1, 1, 4.0), (4, 4, 2, 6.5), (5, 9, 0, 1.0)]
+    wide = _corpus(rows, ["NA", "NM", "NC"])
+    narrow = _corpus([(nc, na, y) for na, _, nc, y in rows], ["NC", "NA"])
+    assert fit(wide, ["NC", "NA"]) == fit(narrow, ["NC", "NA"])
+    with pytest.raises(ModelError, match=r"^sample missing predictor\(s\): \['NGen'\]$"):
+        fit(wide, ["NA", "NGen"])
 
 
 def test_fit_singular_design():
     predictors = ["NA", "NM"]
     rows = [(1, 1, 2.0), (2, 2, 3.0), (3, 3, 4.0), (4, 4, 5.0)]
     with pytest.raises(SingularDesign):
-        fit(_samples(rows, predictors), predictors)
+        fit(_corpus(rows, predictors), predictors)
 
 
 def _planted_case(seed):
@@ -130,7 +140,7 @@ def _planted_case(seed):
 @given(st.integers(0, 10**9))
 def test_planted_model_recovery(seed):
     predictors, intercept, weights, rows = _planted_case(seed)
-    model = fit(_samples(rows, predictors), predictors)
+    model = fit(_corpus(rows, predictors), predictors)
     assert model.intercept == pytest.approx(intercept, abs=1e-8, rel=1e-8)
     fitted = dict(model.coefficients)
     for name, w in zip(predictors, weights):
@@ -146,14 +156,13 @@ def test_residual_orthogonality(seed):
         (rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 6))
         for _ in range(10)
     ]
-    samples = _samples(rows, predictors)
-    model = fit(samples, predictors)
-    residuals = [s.rating - estimate(model, s.predictors) for s in samples]
-    scale = max(1.0, max(abs(s.rating) for s in samples))
-    assert abs(sum(residuals)) <= 1e-8 * scale * len(samples)
-    for p in predictors:
-        dot = sum(r * s.predictors[p] for r, s in zip(residuals, samples))
-        col_norm = math.sqrt(sum(s.predictors[p] ** 2 for s in samples))
+    model = fit(_corpus(rows, predictors), predictors)
+    residuals = [row[-1] - estimate(model, dict(zip(predictors, row))) for row in rows]
+    scale = max(1.0, max(abs(row[-1]) for row in rows))
+    assert abs(sum(residuals)) <= 1e-8 * scale * len(rows)
+    for i in range(len(predictors)):
+        dot = sum(r * row[i] for r, row in zip(residuals, rows))
+        col_norm = math.sqrt(sum(row[i] ** 2 for row in rows))
         assert abs(dot) <= 1e-8 * max(1.0, col_norm * scale)
 
 
@@ -163,16 +172,15 @@ def test_prediction_invariant_under_predictor_reordering(seed):
     predictors, _, _, rows = _planted_case(seed)
     if len(predictors) < 2:
         return
-    samples = _samples(rows, predictors)
+    rated = _corpus(rows, predictors)
     rng = random.Random(seed + 1)
     shuffled = predictors[:]
     rng.shuffle(shuffled)
-    a = fit(samples, predictors)
-    b = fit(samples, shuffled)
-    for s in samples:
-        assert estimate(a, s.predictors) == pytest.approx(
-            estimate(b, s.predictors), abs=1e-7, rel=1e-7
-        )
+    a = fit(rated, predictors)
+    b = fit(rated, shuffled)
+    for row in rows:
+        values = dict(zip(predictors, row))
+        assert estimate(a, values) == pytest.approx(estimate(b, values), abs=1e-7, rel=1e-7)
 
 
 def test_estimate_is_affine():
@@ -195,7 +203,7 @@ def test_fit_ill_conditioned_design():
         na = rng.uniform(0, 100)
         nm = na + 1e-4 * rng.uniform(-1, 1)
         rows.append((na, nm, 1 + 0.5 * na + 0.25 * nm))
-    model = fit(_samples(rows, ["NA", "NM"]), ["NA", "NM"])
+    model = fit(_corpus(rows, ["NA", "NM"]), ["NA", "NM"])
     assert model.intercept == pytest.approx(1.0, abs=1e-8)
     weights = dict(model.coefficients)
     assert weights["NA"] == pytest.approx(0.5, abs=1e-8)

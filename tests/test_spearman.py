@@ -168,10 +168,15 @@ def test_cli_and_significance_import_neither_scipy_nor_numpy():
 
 
 def test_reproduce_and_validate_runs_load_neither_scipy_nor_numpy(tmp_path):
-    # Only `fit` needs numpy; the corpus reader that validate shares with it must not.
+    # Only `fit` needs numpy; the corpus module that validate shares with it,
+    # and the metrics and estimate runs on either diagram format, must not.
     (tmp_path / "v.csv").write_text("id,known,computed\na,1,1.2\nb,2,1.9\nc,3,3.4\nd,4,3.9\n")
+    (tmp_path / "d.cd").write_text("class A {\n  attr x\n}\nclass B {}\ngen B => A\n")
+    (tmp_path / "d.json").write_text('{"classes": [{"name": "A", "attributes": ["x"]}]}')
     code = ("from cdmetrics.cli import main\n"
-            "assert main(['reproduce']) == 0 and main(['validate', 'v.csv']) == 0")
+            "assert main(['reproduce']) == 0 and main(['validate', 'v.csv']) == 0\n"
+            "for command in ('metrics', 'estimate'):\n"
+            "    assert main([command, 'd.cd', 'd.json']) == 0")
     assert _loaded_scipy_and_numpy(code, cwd=tmp_path) == "[]"
 
 
