@@ -44,7 +44,7 @@ class SourceSpan(NamedTuple):
 
 
 class _Line:
-    """A non-blank source line as whitespace tokens; only `fail` needs their columns."""
+    """A line `parse` did not take in place, as tokens; only `fail` works out columns."""
 
     def __init__(self, number: int, code: str):
         self.number = number
@@ -80,7 +80,9 @@ def parse(source: str) -> ClassDiagram:
     """Parse DSL text into an (unvalidated) ClassDiagram in declaration order.
 
     One pass over the lines: each non-blank line is a top-level construct, or
-    a body entry while a class body is open.
+    a body entry while a class body is open.  The common shapes are checked in
+    place: ``class N {`` and ``<rel> A <arrow> B``, and in a body ``attr n``,
+    ``method n`` and ``}``.  Only other lines, and any that fail, get a `_Line`.
     """
     diagram_id = None
     classes: list[ClassDecl] = []
@@ -92,11 +94,30 @@ def parse(source: str) -> ClassDiagram:
     if "\r" in source:
         source = source.replace("\r\n", "\n").replace("\r", "\n")
     for number, raw in enumerate(source.split("\n"), start=1):
-        code = raw.split("#", 1)[0]
-        if not code.strip():
+        code = raw.split("#", 1)[0] if "#" in raw else raw
+        tokens = code.split()
+        if not tokens:
+            continue
+        last = number, code
+        head, n = tokens[0], len(tokens)
+        if body is None:
+            if n == 3 and head == "class" and tokens[2] == "{" and _IDENT.match(tokens[1]):
+                body = (tokens[1], {}, {})
+                continue
+            arrow, kind = _ARROWS.get(head, (None, None))
+            if n == 4 and tokens[2] == arrow and _IDENT.match(tokens[1]) and _IDENT.match(tokens[3]):
+                relationships.append(Relationship(kind, tokens[1], tokens[3]))
+                continue
+        elif n == 2 and head in ("attr", "method") and _IDENT.match(tokens[1]):
+            members = body[1] if head == "attr" else body[2]
+            if tokens[1] not in members:
+                members[tokens[1]] = None
+                continue
+        elif tokens == ["}"]:
+            classes.append(ClassDecl(body[0], tuple(body[1]), tuple(body[2])))
+            body = None
             continue
         line = _Line(number, code)
-        tokens = line.tokens
         start = 0  # the token a body entry begins at
         if body is None:
             keyword = tokens[0]
@@ -148,7 +169,7 @@ def parse(source: str) -> ClassDiagram:
         body = None
 
     if body is not None:
-        # `line` is the last non-blank line
+        line = _Line(*last)  # the last non-blank line
         line.fail(len(line.tokens), f"unterminated body of class {body[0]!r}")
     return ClassDiagram(diagram_id or "unnamed", tuple(classes), tuple(relationships))
 

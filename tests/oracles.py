@@ -6,11 +6,14 @@ import csv
 import io
 import math
 import random
+import re
 
 import networkx as nx
 
 from cdmetrics.corpus import CorpusError
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship
+from cdmetrics.dsl import SourceSpan
+from cdmetrics.errors import DslSyntaxError
 from cdmetrics.metrics import METRIC_NAMES
 
 
@@ -187,3 +190,127 @@ def validation_rows_by_column(text: str, where: str) -> list[dict]:
         if not (row.get("computed") or row.get("diagram")):
             raise CorpusError(f"{where}:{line}: need a 'computed' or 'diagram' value")
     return rows
+
+
+# --- the .cd parser with a `_Line` for every non-blank line -------------------------
+# `parse` and `_Line` as they stood before `parse` checked the common line shapes
+# in place, unchanged but for the name `parse_reference`.  `parse` must agree with
+# it on every input, in its result or in its error's type, message and span.
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_ARROWS = {
+    "assoc": ("--", RelKind.ASSOCIATION),
+    "agg": ("o-", RelKind.AGGREGATION),
+    "dep": ("->", RelKind.DEPENDENCY),
+    "gen": ("=>", RelKind.GENERALIZATION),
+}
+
+
+class _Line:
+    """A non-blank source line as whitespace tokens; only `fail` needs their columns."""
+
+    def __init__(self, number: int, code: str):
+        self.number = number
+        self.code = code
+        self.tokens = code.split()
+
+    def fail(self, index: int, message: str):
+        starts = [m.start() + 1 for m in re.finditer(r"\S+", self.code)]
+        if index < len(starts):
+            column = starts[index]
+        else:  # just past the last token, for "missing token" errors
+            column = starts[-1] + len(self.tokens[-1])
+        raise DslSyntaxError(SourceSpan(self.number, column), message)
+
+    def ident(self, index: int, what: str) -> str:
+        if index >= len(self.tokens):
+            self.fail(index, f"expected {what}")
+        token = self.tokens[index]
+        if not _IDENT.match(token):
+            self.fail(index, f"illegal identifier {token!r} for {what}")
+        return token
+
+    def expect(self, index: int, literal: str, what: str):
+        if index >= len(self.tokens) or self.tokens[index] != literal:
+            self.fail(index, f"expected {what} {literal!r}")
+
+    def end(self, index: int):
+        if index < len(self.tokens):
+            self.fail(index, f"unexpected token {self.tokens[index]!r}")
+
+
+def parse_reference(source: str) -> ClassDiagram:
+    """Parse DSL text into an (unvalidated) ClassDiagram in declaration order.
+
+    One pass over the lines: each non-blank line is a top-level construct, or
+    a body entry while a class body is open.
+    """
+    diagram_id = None
+    classes: list[ClassDecl] = []
+    relationships: list[Relationship] = []
+    body = None  # (name, attributes, methods) of the class whose body is open
+
+    # Lines end at \n, \r\n or \r only, as an editor counts them; str.split()
+    # takes other breaks, such as a form feed or U+2028, as whitespace.
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    for number, raw in enumerate(source.split("\n"), start=1):
+        code = raw.split("#", 1)[0]
+        if not code.strip():
+            continue
+        line = _Line(number, code)
+        tokens = line.tokens
+        start = 0  # the token a body entry begins at
+        if body is None:
+            keyword = tokens[0]
+            if keyword == "class":
+                name = line.ident(1, "class name")
+                if tokens[2:3] == ["{}"]:
+                    line.end(3)
+                    classes.append(ClassDecl(name))
+                    continue
+                line.expect(2, "{", "class body opener")
+                body = (name, {}, {})
+                start = 3
+                if len(tokens) == start:
+                    continue
+            elif keyword in _ARROWS:
+                arrow, kind = _ARROWS[keyword]
+                left = line.ident(1, "class name")
+                line.expect(2, arrow, "arrow")
+                right = line.ident(3, "class name")
+                line.end(4)
+                relationships.append(Relationship(kind, left, right))
+                continue
+            elif keyword == "diagram" and not (diagram_id or classes or relationships):
+                diagram_id = line.ident(1, "diagram name")
+                line.end(2)
+                continue
+            elif keyword == "diagram":
+                line.fail(0, "'diagram' header allowed only as the first construct")
+            else:
+                line.fail(0, f"unknown keyword {keyword!r}")
+
+        name, attrs, methods = body
+        head = tokens[start]
+        if head in ("attr", "method"):
+            member = line.ident(start + 1, f"{head} name")
+            members = attrs if head == "attr" else methods
+            if member in members:
+                line.fail(start + 1, f"duplicate {head} name {member!r} in class {name!r}")
+            members[member] = None
+            if tokens[start + 2:start + 3] != ["}"]:
+                line.end(start + 2)
+                continue
+            line.end(start + 3)
+        elif head == "}":
+            line.end(start + 1)
+        else:
+            line.fail(start, f"expected 'attr', 'method' or '}}' in class body, got {head!r}")
+        classes.append(ClassDecl(name, tuple(attrs), tuple(methods)))
+        body = None
+
+    if body is not None:
+        # `line` is the last non-blank line
+        line.fail(len(line.tokens), f"unterminated body of class {body[0]!r}")
+    return ClassDiagram(diagram_id or "unnamed", tuple(classes), tuple(relationships))

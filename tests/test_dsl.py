@@ -1,13 +1,15 @@
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship
 from cdmetrics.dsl import from_dict, parse, serialize, to_dict
 from cdmetrics.errors import DiagramFormatError, DslSyntaxError
 
 from .conftest import valid_diagrams
+from .oracles import parse_reference
 
 
 def test_class_body_counts():
@@ -56,6 +58,7 @@ def test_diagram_header():
 def test_comments_and_blank_lines_ignored():
     src = "# leading comment\n\ndiagram d  # trailing\n\nclass A {} # another\n"
     assert parse(src) == parse("diagram d\nclass A {}\n")
+    assert parse("class A {  # c\n  attr x # c\n}\n").classes == (ClassDecl("A", ("x",)),)
 
 
 def test_crlf_accepted():
@@ -140,6 +143,11 @@ def test_duplicate_member_check_is_linear():
     ("class A {\n\tattr\t9x\n}\n", 2, 7, "illegal identifier '9x'"),
     ("class A {# note\n", 1, 10, "unterminated body of class 'A'"),
     ("class A {\n  attr x\n\n# trailing\n   \n", 2, 9, "unterminated body of class 'A'"),
+    # Lines of a common shape that fail its check in place.
+    ("class 9x {\n", 1, 7, "illegal identifier '9x' for class name"),
+    ("class A {}\nclass B {}\ngen A -> B\n", 3, 7, "expected arrow '=>'"),
+    ("class A {}\nassoc A -- 9B\n", 2, 12, "illegal identifier '9B' for class name"),
+    ("class A {\n  method é\n}\n", 2, 10, "illegal identifier 'é' for method name"),
 ])
 def test_body_form_error_spans(source, line, column, message):
     with pytest.raises(DslSyntaxError) as exc:
@@ -204,3 +212,75 @@ def test_structured_schema_error_names_field_path(obj, path):
     with pytest.raises(DiagramFormatError) as exc:
         from_dict(obj)
     assert str(exc.value).startswith(f"{path}: ")
+
+
+# Line vocabulary for the differential test: each group but the last two is
+# valid DSL on its own, so an unmutated list of groups mostly parses.  The
+# last two leave a body open and repeat a member.  A line is its tokens.
+_GROUPS = [
+    [["diagram", "d"]],
+    [["class", "A", "{"], ["attr", "x"], ["method", "m"], ["}"]],
+    [["class", "B", "{"], ["attr", "x"], ["attr", "y"], ["}"]],
+    [["class", "C", "{}"]],
+    [["class", "D", "{", "attr", "x"], ["method", "m", "}"]],
+    [["class", "E", "{", "}"]],
+    [["class", "F", "{", "method", "m", "}"]],
+    [["class", "G", "{", "#", "c"], ["attr", "x#c"], ["method", "m", "#", "c"], ["}"]],
+    [["assoc", "A", "--", "B"]],
+    [["agg", "A", "o-", "B"]],
+    [["dep", "B", "->", "A"]],
+    [["gen", "B", "=>", "A"]],
+    [["#", "comment"]],
+    [[]],
+    [["class", "U", "{"], ["attr", "x"]],
+    [["class", "H", "{"], ["method", "x"], ["attr", "x"], ["attr", "x"], ["}"]],
+]
+# Token edits: (operation, position), at a line and with a token drawn apart;
+# line and position wrap around.  Small sampled_from sets draw evenly.
+_EDITS = [(op, pos) for op in ("drop", "insert", "replace") for pos in range(5)]
+_TOKENS = ["9x", "é", "{}", "{", "}", "--", "o-", "->", "=>", "-->", "attr", "method",
+           "class", "gen", "diagram", "A", "x", "#"]
+_SEPARATORS = [" ", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", "\u3000"]
+_ENDS = ["\n", "\n", "\r\n", "\r"]
+
+
+def _mutated_source(groups, edits, at_lines, tokens, separators, ends) -> str:
+    lines = [list(line) for group in groups for line in group]
+    for i, (op, pos) in enumerate(edits):
+        if not lines:
+            break
+        line = lines[at_lines[i % len(at_lines)] % len(lines)]
+        token = tokens[i % len(tokens)]
+        if op == "insert":
+            line.insert(pos % (len(line) + 1), token)
+        elif line and op == "drop":
+            del line[pos % len(line)]
+        elif line:
+            line[pos % len(line)] = token
+    return "".join(
+        separators[i % len(separators)] * (i % 2)  # indent every other line
+        + separators[(i + 1) % len(separators)].join(line) + ends[i % len(ends)]
+        for i, line in enumerate(lines)
+    )
+
+
+def _outcome(parser, source):
+    try:
+        d = parser(source)
+    except DslSyntaxError as exc:
+        return type(exc), str(exc), exc.span
+    return d.id, d.classes, d.relationships
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_GROUPS), max_size=8),
+       st.lists(st.sampled_from(_EDITS), max_size=3),
+       st.lists(st.sampled_from(range(16)), min_size=1, max_size=3),
+       st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3),
+       st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=4),
+       st.lists(st.sampled_from(_ENDS), min_size=1, max_size=3))
+def test_parse_agrees_with_the_reference_parser(groups, edits, at_lines, tokens, separators, ends):
+    # parse checks the common line shapes in place; parse_reference builds a
+    # _Line for every line.  Results, or errors with message and span, match.
+    source = _mutated_source(groups, edits, at_lines, tokens, separators, ends)
+    assert _outcome(parse, source) == _outcome(parse_reference, source)
