@@ -3,8 +3,8 @@
 Subcommands: metrics, estimate, fit, validate, reproduce.  Exit codes form
 a ladder so CI can gate on failure class: 0 ok, 1 usage, 2 parse error,
 3 diagram validation error, 4 bad data/model file, 5 reproduction mismatch.
-Subcommands return their reports; main prints them and maps each error's
-type to its exit code.
+Subcommands return their reports; main prints them.  An error's type
+carries its exit code (`CdmetricsError.exit_code`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from . import corpus as corpus_io
 from .diagram import ClassDiagram, validate
 from .dsl import from_dict, parse
-from .errors import CdmetricsError, DiagramError, DiagramFormatError, ModelError, naming, read_file
+from .errors import CdmetricsError, CorpusError, DiagramFormatError, ModelError, naming, read_file
 from .metrics import METRIC_NAMES, compute_metrics
 from .regression import (
     PUBLISHED_UNDERSTANDABILITY_MODEL,
@@ -31,9 +31,6 @@ from .spearman import DifferenceMode, spearman
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_DATA = 4
 EXIT_REPRODUCE = 5
 
 
@@ -61,8 +58,10 @@ _tolerance = _float_in("[0, inf)", lambda t: 0 <= t < math.inf)
 
 
 def _predictors(text: str) -> list[str]:
-    """argparse type: comma-separated metric names, each named once."""
+    """argparse type: comma-separated metric names, at least one, each named once."""
     names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"names no metric: {text!r}")
     for i, name in enumerate(names):
         if name not in METRIC_NAMES:
             raise argparse.ArgumentTypeError(
@@ -118,12 +117,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _exit_code(exc: CdmetricsError) -> int:
-    if isinstance(exc, DiagramFormatError):
-        return EXIT_PARSE
-    return EXIT_VALIDATION if isinstance(exc, DiagramError) else EXIT_DATA
-
-
 def _load_diagram(path) -> ClassDiagram:
     """Read, parse and validate one diagram file."""
     is_json = os.path.splitext(path)[1] == ".json"
@@ -166,7 +159,7 @@ def _per_file(paths, record):
             records.append(record(path, _load_diagram(path)))
         except CdmetricsError as exc:
             print(exc, file=sys.stderr)
-            exit_code = max(exit_code, _exit_code(exc))
+            exit_code = max(exit_code, exc.exit_code)
     return records, exit_code, None
 
 
@@ -198,7 +191,7 @@ def _cmd_validate(args):
     model = _load_model(args.model)
     base = os.path.dirname(args.corpus)
     pairs = corpus_io.validation_pairs(
-        read_file(args.corpus, corpus_io.CorpusError), args.corpus,
+        read_file(args.corpus, CorpusError), args.corpus,
         lambda name: _estimate(model, args.model,
                                compute_metrics(_load_diagram(os.path.join(base, name)))),
     )
@@ -280,7 +273,7 @@ def main(argv=None) -> int:
         report, exit_code, lines = args.run(args)
     except CdmetricsError as exc:
         print(exc, file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     # An empty report (every input failed) leaves stdout empty.  Model files
     # are JSON, so fit writes JSON whatever --format says.
     if report and not args.quiet:

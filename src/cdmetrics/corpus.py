@@ -8,7 +8,7 @@ import math
 import os
 import re
 
-from .errors import CdmetricsError, read_file
+from .errors import CorpusError, read_file
 from .metrics import METRIC_NAMES
 from .regression import RatingCorpus
 from .spearman import RatedPair
@@ -16,10 +16,6 @@ from .spearman import RatedPair
 REFERENCE_RATINGS = os.path.join(os.path.dirname(__file__), "data", "table2.csv")
 # r_s the original study reports for the reference ratings, for comparison.
 REPORTED_RANK_CORRELATION = 0.9482
-
-
-class CorpusError(CdmetricsError):
-    """Malformed corpus file."""
 
 
 def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str | None]], list[int]]:

@@ -50,9 +50,9 @@ class ClassDiagram:
     per-kind relationship sequences.  The interleaving of different kinds in
     the relationship list is presentation order only, so canonical
     serialization (which groups by kind) round-trips to an equal diagram.
-    A plain class whose attributes must not be reassigned: the name set, the
-    per-kind grouping and the hierarchy depths are worked out on first use
-    and cached on the instance.  A diagram is not hashable.
+    A plain class whose attributes must not be reassigned: the per-kind
+    grouping and the hierarchy depths are worked out on first use and
+    cached on the instance.  A diagram is not hashable.
     """
 
     def __init__(self, id: str = "unnamed", classes: tuple[ClassDecl, ...] = (),
@@ -64,10 +64,6 @@ class ClassDiagram:
     def __repr__(self):
         return (f"ClassDiagram(id={self.id!r}, classes={self.classes!r}, "
                 f"relationships={self.relationships!r})")
-
-    @cached_property
-    def name_set(self) -> frozenset[str]:
-        return frozenset(c.name for c in self.classes)
 
     @cached_property
     def _groups(self) -> dict[RelKind, tuple[Relationship, ...]]:

@@ -1,4 +1,8 @@
-"""Exception types raised across the package, and the file reader that raises them."""
+"""Exception types raised across the package, and the file reader that raises them.
+
+Every error type of the package is here, the corpus reader's CorpusError
+included, and each carries the exit code the CLI returns for it.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +10,22 @@ from contextlib import contextmanager
 
 
 class CdmetricsError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `exit_code` is the CLI's exit code for the error, by its type: 2 for a
+    DiagramFormatError (a diagram that cannot be read or parsed), 3 for a
+    DiagramError (a diagram that parses but breaks a structural rule), and 4
+    for every other error (a bad corpus or model file, or data that cannot be
+    fitted or ranked).
+    """
+
+    exit_code = 4
 
 
 class DiagramError(CdmetricsError):
     """A structural problem in a class diagram."""
+
+    exit_code = 3
 
 
 class DuplicateClass(DiagramError):
@@ -22,11 +37,6 @@ class UnknownEndpoint(DiagramError):
     def __init__(self, kind, name: str):
         self.name = name
         super().__init__(f"{kind.value} relationship references undeclared class {name!r}")
-
-
-class UnknownClass(DiagramError):
-    def __init__(self, name: str):
-        super().__init__(f"no class named {name!r} in diagram")
 
 
 class HierarchyCycle(DiagramError):
@@ -56,6 +66,8 @@ class DuplicateHierarchyEdge(DiagramError):
 class DiagramFormatError(CdmetricsError):
     """A diagram file that is unreadable, not UTF-8, or not a diagram's JSON."""
 
+    exit_code = 2
+
 
 class DslSyntaxError(DiagramFormatError):
     """Malformed DSL source; carries a 1-based line/column span."""
@@ -79,23 +91,17 @@ class SingularDesign(ModelError):
         super().__init__("design columns are linearly dependent")
 
 
+class CorpusError(CdmetricsError):
+    """Malformed corpus file."""
+
+
 class ValidationInputError(CdmetricsError):
     """Bad input to the rank-correlation routines."""
 
 
-class EmptyInput(ValidationInputError):
-    def __init__(self):
-        super().__init__("cannot rank an empty list")
-
-
 class TooFewPairs(ValidationInputError):
-    def __init__(self, n: int, minimum: int = 2):
-        super().__init__(f"need at least {minimum} pairs, got {n}")
-
-
-class InvalidAlpha(ValidationInputError):
-    def __init__(self, alpha: float):
-        super().__init__(f"alpha must be in (0, 0.5], got {alpha}")
+    def __init__(self, n: int):
+        super().__init__(f"need at least 2 pairs, got {n}")
 
 
 def check(value, kind: type, error: type[CdmetricsError], path: str = ""):

@@ -3,7 +3,8 @@
 All metrics are non-negative integer counts over a validated diagram:
 size counts (NC, NA, NM), per-kind relationship counts (NAssoc, NAgg,
 NDep, NGen), hierarchy counts (NAggH, NGenH), and the two longest-path
-depths (MaxHAgg, MaxDIT).
+depths (MaxHAgg, MaxDIT).  The depth of each class is not a metric here:
+read it from ClassDiagram.depths.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .diagram import ClassDiagram, RelKind
-from .errors import UnknownClass
 
 
 class MetricsVector(NamedTuple):
@@ -39,22 +39,6 @@ class MetricsVector(NamedTuple):
 
 
 METRIC_NAMES = MetricsVector._fields
-
-
-def _depth_metric(diagram: ClassDiagram, cls: str, kind: RelKind) -> int:
-    if cls not in diagram.name_set:
-        raise UnknownClass(cls)
-    return diagram.depths[kind].get(cls, 0)
-
-
-def dit(diagram: ClassDiagram, cls: str) -> int:
-    """Longest child-to-parent generalization path from cls to a parentless root."""
-    return _depth_metric(diagram, cls, RelKind.GENERALIZATION)
-
-
-def hagg(diagram: ClassDiagram, cls: str) -> int:
-    """Longest whole-to-part aggregation path from cls to a part-less leaf."""
-    return _depth_metric(diagram, cls, RelKind.AGGREGATION)
 
 
 def count_hierarchies(diagram: ClassDiagram, kind: RelKind) -> int:

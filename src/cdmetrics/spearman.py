@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .errors import EmptyInput, InvalidAlpha, TooFewPairs, ValidationInputError
+from .errors import TooFewPairs, ValidationInputError
 
 
 class DifferenceMode(Enum):
@@ -44,9 +44,8 @@ class ValidationReport(NamedTuple):
 
 
 def ranks_with_ties(values: Sequence[float]) -> list[float]:
-    """Fractional ranks: 1 for the smallest, ties averaged; sums to n(n+1)/2."""
-    if not values:
-        raise EmptyInput()
+    """Fractional ranks: 1 for the smallest, ties averaged; sums to n(n+1)/2.
+    An empty list has no ranks: ranks_with_ties([]) is []."""
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     i = 0
@@ -122,14 +121,12 @@ def _t_ppf(p: float, nu: int) -> float:
 def significance(r_s: float, n: int, alpha: float) -> tuple[float, bool]:
     """Critical value via the t-approximation; significant iff r_s exceeds it.
 
-    r_s is compared with t / sqrt(n - 2 + t^2) for the t quantile at
-    1 - alpha/2.  Below alpha of about 1.1e-16, 1 - alpha/2 rounds to 1, t
-    is infinite and the critical value NaN, so nothing is significant.
+    Takes alpha in (0, 0.5] and n >= 4, unchecked: the CLI's --alpha type
+    and spearman() make sure of both.  r_s is compared with
+    t / sqrt(n - 2 + t^2) for the t quantile at 1 - alpha/2.  Below alpha of
+    about 1.1e-16, 1 - alpha/2 rounds to 1, t is infinite and the critical
+    value NaN, so nothing is significant.
     """
-    if not (0 < alpha <= 0.5):
-        raise InvalidAlpha(alpha)
-    if n < 4:
-        raise TooFewPairs(n, minimum=4)
     t_quantile = _t_ppf(1 - alpha / 2, n - 2)
     # Equal to t / sqrt(n - 2 + t^2); in this form the critical value at n = 5
     # that tests/test_cli_golden.py pins keeps its last digit.

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cdmetrics.cli import main
 from cdmetrics.corpus import CorpusError, pair_from_row
 from cdmetrics.dsl import to_dict
+from cdmetrics.errors import CdmetricsError, DiagramError, DiagramFormatError
 
 from .conftest import valid_diagrams
 
@@ -194,7 +195,7 @@ def test_tolerance_out_of_range_is_usage_error(tolerance):
 
 @pytest.mark.parametrize("predictors, named", [
     ("NA,NA", "'NA'"), ("NM, NA ,NM", "'NM'"), ("XX", "'XX'"), ("NA,XX", "'XX'"),
-    ("NA,na", "'na'"),
+    ("NA,na", "'na'"), (",", "no metric"), ("", "no metric"),
 ])
 def test_bad_predictors_are_usage_errors(tmp_path, monkeypatch, predictors, named):
     monkeypatch.chdir(tmp_path)
@@ -217,6 +218,20 @@ def test_predictor_names_are_stripped_and_empty_ones_dropped(tmp_path, monkeypat
 def test_non_finite_known_is_corpus_error_naming_the_column(value):
     with pytest.raises(CorpusError, match="'known'"):
         pair_from_row({"known": value}, 1.0, "v.csv")
+
+
+def _error_types(base):
+    """base and every class below it."""
+    return [base, *(t for sub in base.__subclasses__() for t in _error_types(sub))]
+
+
+@pytest.mark.parametrize("error", _error_types(CdmetricsError), ids=lambda t: t.__name__)
+def test_each_error_type_carries_its_exit_code(error):
+    # The README's ladder: 2 parse error, 3 diagram validation error, 4 bad data.
+    expected = (2 if issubclass(error, DiagramFormatError)
+                else 3 if issubclass(error, DiagramError) else 4)
+    assert error.exit_code == expected
+    assert CorpusError in _error_types(CdmetricsError)
 
 
 # --- fuzzing ----------------------------------------------------------------

@@ -1,4 +1,3 @@
-import time
 
 import pytest
 from hypothesis import given
@@ -10,15 +9,12 @@ from cdmetrics.errors import (
     AggregationCycle,
     DuplicateHierarchyEdge,
     GeneralizationCycle,
-    UnknownClass,
 )
 from cdmetrics.metrics import (
     METRIC_NAMES,
     MetricsVector,
     compute_metrics,
     count_hierarchies,
-    dit,
-    hagg,
 )
 
 from .conftest import valid_diagrams
@@ -33,6 +29,7 @@ DIAMOND = _diagram(
     "class A {}\nclass B {}\nclass C {}\nclass D {}\n"
     "gen D => B\ngen D => C\ngen B => A\ngen C => A\n"
 )
+GEN, AGG = RelKind.GENERALIZATION, RelKind.AGGREGATION
 
 
 def test_empty_diagram_all_zero():
@@ -57,15 +54,15 @@ def test_mixed_relationships():
 def test_diamond_inheritance():
     vec = compute_metrics(DIAMOND)
     assert (vec.NGen, vec.NGenH, vec.MaxDIT) == (4, 1, 2)
-    assert dit(DIAMOND, "D") == 2
-    assert dit(DIAMOND, "B") == 1
-    assert dit(DIAMOND, "A") == 0
+    assert DIAMOND.depths[GEN].get("D", 0) == 2
+    assert DIAMOND.depths[GEN].get("B", 0) == 1
+    assert DIAMOND.depths[GEN].get("A", 0) == 0
 
 
 def test_dit_chain():
     d = _diagram("class A {}\nclass B {}\nclass C {}\ngen C => B\ngen B => A\n")
-    assert dit(d, "C") == 2
-    assert dit(d, "A") == 0
+    assert d.depths[GEN].get("C", 0) == 2
+    assert d.depths[GEN].get("A", 0) == 0
 
 
 def test_hagg_paths():
@@ -73,13 +70,8 @@ def test_hagg_paths():
         "class W {}\nclass P1 {}\nclass P2 {}\nclass Q {}\n"
         "agg W o- P1\nagg P1 o- Q\nagg W o- P2\n"
     )
-    assert hagg(d, "W") == 2
-    assert hagg(d, "P2") == 0
-
-
-def test_unknown_class():
-    with pytest.raises(UnknownClass):
-        dit(_diagram("class A {}\n"), "B")
+    assert d.depths[AGG].get("W", 0) == 2
+    assert d.depths[AGG].get("P2", 0) == 0
 
 
 def test_hierarchy_counting():
@@ -171,31 +163,19 @@ def _chain(kind, n, reverse):
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["in_order", "reversed"])
 @pytest.mark.parametrize(
-    "kind, metric, depth",
-    [(RelKind.GENERALIZATION, "MaxDIT", dit), (RelKind.AGGREGATION, "MaxHAgg", hagg)],
+    "kind, metric",
+    [(GEN, "MaxDIT"), (AGG, "MaxHAgg")],
     ids=["generalization", "aggregation"],
 )
-def test_deep_chain_has_no_recursion_limit(kind, metric, depth, reverse):
+def test_deep_chain_has_no_recursion_limit(kind, metric, reverse):
     d = _chain(kind, 10**4, reverse)
     assert compute_metrics(d)[metric] == 9999
-    assert depth(d, "C0") == 9999
-    assert depth(d, "C9999") == 0
-
-
-def test_per_class_depths_are_constant_time_lookups():
-    # A class-name scan per call took about 2 s for dit over 6400 classes.
-    d = _chain(RelKind.GENERALIZATION, 10**4, reverse=False)
-    names = tuple(c.name for c in d.classes)
-    start = time.perf_counter()
-    depths = [(dit(d, c), hagg(d, c)) for c in names]
-    assert time.perf_counter() - start < 1.0
-    assert depths[0] == (9999, 0) and depths[-1] == (0, 0)
-    with pytest.raises(UnknownClass):
-        dit(d, "Nowhere")
+    assert d.depths[kind].get("C0", 0) == 9999
+    assert d.depths[kind].get("C9999", 0) == 0
 
 
 @pytest.mark.parametrize("measure", [
-    compute_metrics, lambda d: dit(d, "A"), lambda d: hagg(d, "A"),
+    compute_metrics, lambda d: d.depths[GEN].get("A", 0), lambda d: d.depths[AGG].get("A", 0),
 ], ids=["compute_metrics", "dit", "hagg"])
 @pytest.mark.parametrize("kind, cycle_error", [
     (RelKind.GENERALIZATION, GeneralizationCycle),
@@ -225,5 +205,5 @@ def test_one_graphlib_pass_per_hierarchy_kind(monkeypatch):
         "gen C => B\ngen B => A\nagg A o- C\nagg B o- C\n"
     )
     assert compute_metrics(validate(d)).MaxDIT == 2
-    assert (dit(d, "C"), hagg(d, "A")) == (2, 1)
+    assert (d.depths[GEN].get("C", 0), d.depths[AGG].get("A", 0)) == (2, 1)
     assert len(built) == 2

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cdmetrics.corpus import load_reference_ratings
-from cdmetrics.errors import EmptyInput, InvalidAlpha, TooFewPairs, ValidationInputError
+from cdmetrics.errors import TooFewPairs, ValidationInputError
 from cdmetrics.spearman import (
     DifferenceMode,
     RatedPair,
@@ -40,8 +40,7 @@ def test_ranks_full_tie():
 
 
 def test_ranks_empty_input():
-    with pytest.raises(EmptyInput):
-        ranks_with_ties([])
+    assert ranks_with_ties([]) == []
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=40))
@@ -106,13 +105,6 @@ def test_zero_correlation_never_significant():
     for n in (4, 10, 28, 100):
         _, significant = significance(0.0, n, 0.05)
         assert not significant
-
-
-def test_significance_input_checks():
-    with pytest.raises(InvalidAlpha):
-        significance(0.5, 28, 0.7)
-    with pytest.raises(TooFewPairs):
-        significance(0.5, 3, 0.05)
 
 
 # --- the t quantile, against scipy as the oracle --------------------------------
