@@ -15,7 +15,9 @@ Grammar (one construct per line, ``#`` starts a comment, blank lines ignored)::
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  A class body's first entry
 may follow the ``{`` on the ``class`` line, and its closing ``}`` may stand
 alone on its line, follow the last body entry, or close an empty body on the
-``class`` line itself (``class A {}``).
+``class`` line itself (``class A {}``).  A syntax error names the line and
+the column of the offending token, or of the place just past the line's
+last token when a token is missing.
 """
 
 from __future__ import annotations
@@ -43,51 +45,32 @@ class SourceSpan(NamedTuple):
     column: int
 
 
-class _Line:
-    """A line `parse` did not take in place, as tokens; only `fail` works out columns."""
+def _fail(number: int, code: str, index: int, message: str):
+    """Raise a DslSyntaxError at the index-th token of a line, or just past its
+    last token when that token is missing."""
+    tokens = list(re.finditer(r"\S+", code))
+    column = tokens[index].start() + 1 if index < len(tokens) else tokens[-1].end() + 1
+    raise DslSyntaxError(SourceSpan(number, column), message)
 
-    def __init__(self, number: int, code: str):
-        self.number = number
-        self.code = code
-        self.tokens = code.split()
 
-    def fail(self, index: int, message: str):
-        starts = [m.start() + 1 for m in re.finditer(r"\S+", self.code)]
-        if index < len(starts):
-            column = starts[index]
-        else:  # just past the last token, for "missing token" errors
-            column = starts[-1] + len(self.tokens[-1])
-        raise DslSyntaxError(SourceSpan(self.number, column), message)
-
-    def ident(self, index: int, what: str) -> str:
-        if index >= len(self.tokens):
-            self.fail(index, f"expected {what}")
-        token = self.tokens[index]
-        if not _IDENT.match(token):
-            self.fail(index, f"illegal identifier {token!r} for {what}")
-        return token
-
-    def expect(self, index: int, literal: str, what: str):
-        if index >= len(self.tokens) or self.tokens[index] != literal:
-            self.fail(index, f"expected {what} {literal!r}")
-
-    def end(self, index: int):
-        if index < len(self.tokens):
-            self.fail(index, f"unexpected token {self.tokens[index]!r}")
+def _bad_ident(tokens: list, index: int, what: str) -> str:
+    """The message for tokens[index], which is missing or not an identifier."""
+    if index >= len(tokens):
+        return f"expected {what}"
+    return f"illegal identifier {tokens[index]!r} for {what}"
 
 
 def parse(source: str) -> ClassDiagram:
     """Parse DSL text into an (unvalidated) ClassDiagram in declaration order.
 
     One pass over the lines: each non-blank line is a top-level construct, or
-    a body entry while a class body is open.  The common shapes are checked in
-    place: ``class N {`` and ``<rel> A <arrow> B``, and in a body ``attr n``,
-    ``method n`` and ``}``.  Only other lines, and any that fail, get a `_Line`.
+    a body entry while a class body is open.  Its tokens are checked left to
+    right, and the first that fails raises a DslSyntaxError with its span.
     """
     diagram_id = None
     classes: list[ClassDecl] = []
     relationships: list[Relationship] = []
-    body = None  # (name, attributes, methods) of the class whose body is open
+    name = None  # the class whose body is open, with its attrs and methods
 
     # Lines end at \n, \r\n or \r only, as an editor counts them; str.split()
     # takes other breaks, such as a form feed or U+2028, as whitespace.
@@ -100,77 +83,71 @@ def parse(source: str) -> ClassDiagram:
             continue
         last = number, code
         head, n = tokens[0], len(tokens)
-        if body is None:
-            if n == 3 and head == "class" and tokens[2] == "{" and _IDENT.match(tokens[1]):
-                body = (tokens[1], {}, {})
-                continue
-            arrow, kind = _ARROWS.get(head, (None, None))
-            if n == 4 and tokens[2] == arrow and _IDENT.match(tokens[1]) and _IDENT.match(tokens[3]):
+        start = 0  # the token a body entry begins at
+        if name is None:
+            if head in _ARROWS:
+                arrow, kind = _ARROWS[head]
+                if n < 2 or not _IDENT.match(tokens[1]):
+                    _fail(number, code, 1, _bad_ident(tokens, 1, "class name"))
+                if n < 3 or tokens[2] != arrow:
+                    _fail(number, code, 2, f"expected arrow {arrow!r}")
+                if n < 4 or not _IDENT.match(tokens[3]):
+                    _fail(number, code, 3, _bad_ident(tokens, 3, "class name"))
+                if n > 4:
+                    _fail(number, code, 4, f"unexpected token {tokens[4]!r}")
                 relationships.append(Relationship(kind, tokens[1], tokens[3]))
                 continue
-        elif n == 2 and head in ("attr", "method") and _IDENT.match(tokens[1]):
-            members = body[1] if head == "attr" else body[2]
-            if tokens[1] not in members:
-                members[tokens[1]] = None
-                continue
-        elif tokens == ["}"]:
-            classes.append(ClassDecl(body[0], tuple(body[1]), tuple(body[2])))
-            body = None
-            continue
-        line = _Line(number, code)
-        start = 0  # the token a body entry begins at
-        if body is None:
-            keyword = tokens[0]
-            if keyword == "class":
-                name = line.ident(1, "class name")
-                if tokens[2:3] == ["{}"]:
-                    line.end(3)
-                    classes.append(ClassDecl(name))
+            if head == "class":
+                if n < 2 or not _IDENT.match(tokens[1]):
+                    _fail(number, code, 1, _bad_ident(tokens, 1, "class name"))
+                if n > 2 and tokens[2] == "{}":
+                    if n > 3:
+                        _fail(number, code, 3, f"unexpected token {tokens[3]!r}")
+                    classes.append(ClassDecl(tokens[1]))
                     continue
-                line.expect(2, "{", "class body opener")
-                body = (name, {}, {})
-                start = 3
-                if len(tokens) == start:
+                if n < 3 or tokens[2] != "{":
+                    _fail(number, code, 2, "expected class body opener '{'")
+                name, attrs, methods = tokens[1], {}, {}
+                if n == 3:
                     continue
-            elif keyword in _ARROWS:
-                arrow, kind = _ARROWS[keyword]
-                left = line.ident(1, "class name")
-                line.expect(2, arrow, "arrow")
-                right = line.ident(3, "class name")
-                line.end(4)
-                relationships.append(Relationship(kind, left, right))
+                tokens, start = tokens[3:], 3  # a body entry follows the {
+                head, n = tokens[0], n - 3
+            elif head == "diagram" and not (diagram_id or classes or relationships):
+                if n < 2 or not _IDENT.match(tokens[1]):
+                    _fail(number, code, 1, _bad_ident(tokens, 1, "diagram name"))
+                if n > 2:
+                    _fail(number, code, 2, f"unexpected token {tokens[2]!r}")
+                diagram_id = tokens[1]
                 continue
-            elif keyword == "diagram" and not (diagram_id or classes or relationships):
-                diagram_id = line.ident(1, "diagram name")
-                line.end(2)
-                continue
-            elif keyword == "diagram":
-                line.fail(0, "'diagram' header allowed only as the first construct")
+            elif head == "diagram":
+                _fail(number, code, 0, "'diagram' header allowed only as the first construct")
             else:
-                line.fail(0, f"unknown keyword {keyword!r}")
+                _fail(number, code, 0, f"unknown keyword {head!r}")
 
-        name, attrs, methods = body
-        head = tokens[start]
-        if head in ("attr", "method"):
-            member = line.ident(start + 1, f"{head} name")
+        if head == "attr" or head == "method":
+            if n < 2 or not _IDENT.match(tokens[1]):
+                _fail(number, code, start + 1, _bad_ident(tokens, 1, f"{head} name"))
             members = attrs if head == "attr" else methods
-            if member in members:
-                line.fail(start + 1, f"duplicate {head} name {member!r} in class {name!r}")
-            members[member] = None
-            if tokens[start + 2:start + 3] != ["}"]:
-                line.end(start + 2)
+            if tokens[1] in members:
+                _fail(number, code, start + 1,
+                      f"duplicate {head} name {tokens[1]!r} in class {name!r}")
+            members[tokens[1]] = None
+            if n == 2:
                 continue
-            line.end(start + 3)
-        elif head == "}":
-            line.end(start + 1)
-        else:
-            line.fail(start, f"expected 'attr', 'method' or '}}' in class body, got {head!r}")
+            if tokens[2] != "}":
+                _fail(number, code, start + 2, f"unexpected token {tokens[2]!r}")
+            if n > 3:
+                _fail(number, code, start + 3, f"unexpected token {tokens[3]!r}")
+        elif head != "}":
+            _fail(number, code, start,
+                  f"expected 'attr', 'method' or '}}' in class body, got {head!r}")
+        elif n > 1:
+            _fail(number, code, start + 1, f"unexpected token {tokens[1]!r}")
         classes.append(ClassDecl(name, tuple(attrs), tuple(methods)))
-        body = None
+        name = None
 
-    if body is not None:
-        line = _Line(*last)  # the last non-blank line
-        line.fail(len(line.tokens), f"unterminated body of class {body[0]!r}")
+    if name is not None:
+        _fail(*last, len(last[1].split()), f"unterminated body of class {name!r}")
     return ClassDiagram(diagram_id or "unnamed", tuple(classes), tuple(relationships))
 
 

@@ -143,11 +143,23 @@ def test_duplicate_member_check_is_linear():
     ("class A {\n\tattr\t9x\n}\n", 2, 7, "illegal identifier '9x'"),
     ("class A {# note\n", 1, 10, "unterminated body of class 'A'"),
     ("class A {\n  attr x\n\n# trailing\n   \n", 2, 9, "unterminated body of class 'A'"),
-    # Lines of a common shape that fail its check in place.
+    # Lines of a common shape that fail one of its checks.
     ("class 9x {\n", 1, 7, "illegal identifier '9x' for class name"),
     ("class A {}\nclass B {}\ngen A -> B\n", 3, 7, "expected arrow '=>'"),
     ("class A {}\nassoc A -- 9B\n", 2, 12, "illegal identifier '9B' for class name"),
     ("class A {\n  method é\n}\n", 2, 10, "illegal identifier 'é' for method name"),
+    # A missing token is reported just past the line's last token.
+    ("class", 1, 6, "expected class name"),
+    ("class A", 1, 8, "expected class body opener '{'"),
+    ("assoc A", 1, 8, "expected arrow '--'"),
+    ("gen A =>", 1, 9, "expected class name"),
+    ("diagram", 1, 8, "expected diagram name"),
+    ("class A {\n  attr\n}", 2, 7, "expected attr name"),
+    # A token too many, a misplaced header, and a `}` where a name belongs.
+    ("diagram d e", 1, 11, "unexpected token 'e'"),
+    ("class A {}\ndiagram d", 2, 1, "'diagram' header allowed only as the first construct"),
+    ("class A { method }", 1, 18, "illegal identifier '}' for method name"),
+    ("agg A o- B C", 1, 12, "unexpected token 'C'"),
 ])
 def test_body_form_error_spans(source, line, column, message):
     with pytest.raises(DslSyntaxError) as exc:
@@ -214,9 +226,10 @@ def test_structured_schema_error_names_field_path(obj, path):
     assert str(exc.value).startswith(f"{path}: ")
 
 
-# Line vocabulary for the differential test: each group but the last two is
-# valid DSL on its own, so an unmutated list of groups mostly parses.  The
-# last two leave a body open and repeat a member.  A line is its tokens.
+# Line vocabulary for the differential test: each group up to the blank line
+# is valid DSL on its own, so an unmutated list of groups often parses.  The
+# two after it leave a body open and repeat a member, and the last six each
+# miss a token.  A line is its tokens.
 _GROUPS = [
     [["diagram", "d"]],
     [["class", "A", "{"], ["attr", "x"], ["method", "m"], ["}"]],
@@ -234,6 +247,12 @@ _GROUPS = [
     [[]],
     [["class", "U", "{"], ["attr", "x"]],
     [["class", "H", "{"], ["method", "x"], ["attr", "x"], ["attr", "x"], ["}"]],
+    [["class"]],
+    [["class", "K"]],
+    [["diagram"]],
+    [["gen", "B", "=>"]],
+    [["assoc", "A"]],
+    [["class", "L", "{"], ["attr"], ["}"]],
 ]
 # Token edits: (operation, position), at a line and with a token drawn apart;
 # line and position wrap around.  Small sampled_from sets draw evenly.
@@ -280,7 +299,7 @@ def _outcome(parser, source):
        st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=4),
        st.lists(st.sampled_from(_ENDS), min_size=1, max_size=3))
 def test_parse_agrees_with_the_reference_parser(groups, edits, at_lines, tokens, separators, ends):
-    # parse checks the common line shapes in place; parse_reference builds a
-    # _Line for every line.  Results, or errors with message and span, match.
+    # parse checks each line's tokens in place; parse_reference builds a _Line
+    # for every line.  Results, or errors with message and span, match.
     source = _mutated_source(groups, edits, at_lines, tokens, separators, ends)
     assert _outcome(parse, source) == _outcome(parse_reference, source)
