@@ -119,7 +119,7 @@ def _build_parser() -> _Parser:
 
 def _load_diagram(path) -> ClassDiagram:
     """Read, parse and validate one diagram file."""
-    is_json = os.path.splitext(path)[1] == ".json"
+    is_json = os.path.splitext(path)[1].lower() == ".json"
     decode = (lambda text: from_dict(_decode_json(text))) if is_json else parse
     return read_file(path, DiagramFormatError, lambda text: validate(decode(text)))
 

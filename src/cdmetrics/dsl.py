@@ -23,6 +23,7 @@ last token when a token is missing.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from typing import NamedTuple
 
 from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship
@@ -31,6 +32,8 @@ from .errors import DiagramFormatError, DslSyntaxError, check
 # The one identifier grammar, for DSL tokens and structured-data names alike.
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KINDS = {kind.value: kind for kind in RelKind}
+# A ClassDecl or Relationship from a tuple of its fields, without its Python-level __new__.
+_record = tuple.__new__
 
 _ARROWS = {
     "assoc": ("--", RelKind.ASSOCIATION),
@@ -197,49 +200,60 @@ def _ident(value, path: str) -> str:
     raise DiagramFormatError(f"{path}: expected an identifier, got {value!r:.40}")
 
 
-def _class_decl(obj) -> ClassDecl:
-    name = _ident(check(obj, dict, DiagramFormatError).get("name"), ".name")
-    members = [
-        tuple([_ident(n, path) for n in check(obj.get(key, []), list, DiagramFormatError, path)])
-        for key, path in (("attributes", ".attributes"), ("methods", ".methods"))
-    ]
-    for label, names in zip(("attribute", "method"), members):
-        if len(set(names)) != len(names):
-            raise DiagramFormatError(f": duplicate {label} name in class {name!r}")
-    return ClassDecl(name, *members)
-
-
-def _relationship(obj) -> Relationship:
-    kind = check(obj, dict, DiagramFormatError).get("kind")
-    if not isinstance(kind, str) or kind.lower() not in _KINDS:
-        raise DiagramFormatError(f".kind: expected one of {', '.join(_KINDS)}, got {kind!r:.40}")
-    # Endpoints only need to be strings: validate() checks them against the classes.
-    return Relationship(_KINDS[kind.lower()],
-                        check(obj.get("from"), str, DiagramFormatError, ".from"),
-                        check(obj.get("to"), str, DiagramFormatError, ".to"))
-
-
-def _items(data: dict, key: str, build) -> tuple:
-    """build(item) for each item of data[key]; an error gets the item's path in front."""
-    items = []
-    for i, obj in enumerate(check(data.get(key, []), list, DiagramFormatError, key)):
-        try:
-            items.append(build(obj))
-        except DiagramFormatError as exc:
-            raise DiagramFormatError(f"{key}[{i}]{exc}") from None
-    return tuple(items)
+def _item_fault(key: str, index: int, obj):
+    """obj is data[key][index], the first item that from_dict refused: raise the
+    DiagramFormatError of its first failing check, in check order."""
+    path = f"{key}[{index}]"
+    check(obj, dict, DiagramFormatError, path)
+    if key == "relationships":
+        kind = obj.get("kind")
+        if not isinstance(kind, str) or kind.lower() not in _KINDS:
+            raise DiagramFormatError(
+                f"{path}.kind: expected one of {', '.join(_KINDS)}, got {kind!r:.40}")
+        for end in ("from", "to"):
+            check(obj.get(end), str, DiagramFormatError, f"{path}.{end}")
+        return
+    name = _ident(obj.get("name"), f"{path}.name")
+    for field in ("attributes", "methods"):
+        for member in check(obj.get(field, []), list, DiagramFormatError, f"{path}.{field}"):
+            _ident(member, f"{path}.{field}")
+    for label in ("attribute", "method"):
+        if len(set(obj.get(f"{label}s", []))) != len(obj.get(f"{label}s", [])):
+            raise DiagramFormatError(f"{path}: duplicate {label} name in class {name!r}")
 
 
 def from_dict(data) -> ClassDiagram:
     """Structured-data import; inverse of to_dict.
 
-    A container or field of the wrong type, an unknown relationship kind, or
-    a name outside the DSL identifier grammar raises DiagramFormatError with
-    the field's path, such as ``classes[0].attributes``.
+    One pass over `classes` and one over `relationships` check each item in
+    place: its type, its names against the DSL identifier grammar, its member
+    lists for repeats, and a relationship's `kind`, in any case.  At the first
+    item that fails, `_item_fault` raises the DiagramFormatError of its first
+    failing check, with the field's path, such as ``classes[0].attributes``.
     """
     check(data, dict, DiagramFormatError, "diagram")
-    return ClassDiagram(
-        _ident(data.get("id", "unnamed"), "id"),
-        _items(data, "classes", _class_decl),
-        _items(data, "relationships", _relationship),
-    )
+    diagram_id, match = _ident(data.get("id", "unnamed"), "id"), _IDENT.match
+    classes, items = [], check(data.get("classes", []), list, DiagramFormatError, "classes")
+    with suppress(TypeError):  # match() raises TypeError for a value that is not a str
+        for obj in items:
+            if not (isinstance(obj, dict) and match(name := obj.get("name"))
+                    and isinstance(attrs := obj.get("attributes", []), list)
+                    and isinstance(methods := obj.get("methods", []), list)
+                    and all(map(match, attrs)) and all(map(match, methods))
+                    and len(set(attrs)) == len(attrs) and len(set(methods)) == len(methods)):
+                break
+            classes.append(_record(ClassDecl, (name, tuple(attrs), tuple(methods))))
+    if len(classes) < len(items):
+        _item_fault("classes", len(classes), items[len(classes)])
+    rels, items = [], check(data.get("relationships", []), list, DiagramFormatError,
+                            "relationships")
+    for obj in items:  # endpoints need only be strings: validate() checks them against the classes
+        if not (isinstance(obj, dict) and isinstance(kind := obj.get("kind"), str)
+                and isinstance(source := obj.get("from"), str)
+                and isinstance(target := obj.get("to"), str)
+                and (rel_kind := _KINDS.get(kind.lower()))):
+            break
+        rels.append(_record(Relationship, (rel_kind, source, target)))
+    if len(rels) < len(items):
+        _item_fault("relationships", len(rels), items[len(rels)])
+    return ClassDiagram(diagram_id, tuple(classes), tuple(rels))

@@ -13,7 +13,7 @@ import networkx as nx
 from cdmetrics.corpus import CorpusError
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship
 from cdmetrics.dsl import SourceSpan
-from cdmetrics.errors import DslSyntaxError
+from cdmetrics.errors import DiagramFormatError, DslSyntaxError, check
 from cdmetrics.metrics import METRIC_NAMES
 
 
@@ -314,3 +314,65 @@ def parse_reference(source: str) -> ClassDiagram:
         # `line` is the last non-blank line
         line.fail(len(line.tokens), f"unterminated body of class {body[0]!r}")
     return ClassDiagram(diagram_id or "unnamed", tuple(classes), tuple(relationships))
+
+
+# --- the JSON diagram reader with a helper call per field ----------------------------
+# `from_dict` and its helpers as they stood before `from_dict` checked each item in
+# place, unchanged but for the name `from_dict_reference`.  `from_dict` must agree
+# with it on every input, in its result or in its error's type and message.
+
+_KINDS = {kind.value: kind for kind in RelKind}
+
+
+def _ident(value, path: str) -> str:
+    if isinstance(value, str) and _IDENT.match(value):
+        return value
+    raise DiagramFormatError(f"{path}: expected an identifier, got {value!r:.40}")
+
+
+def _class_decl(obj) -> ClassDecl:
+    name = _ident(check(obj, dict, DiagramFormatError).get("name"), ".name")
+    members = [
+        tuple([_ident(n, path) for n in check(obj.get(key, []), list, DiagramFormatError, path)])
+        for key, path in (("attributes", ".attributes"), ("methods", ".methods"))
+    ]
+    for label, names in zip(("attribute", "method"), members):
+        if len(set(names)) != len(names):
+            raise DiagramFormatError(f": duplicate {label} name in class {name!r}")
+    return ClassDecl(name, *members)
+
+
+def _relationship(obj) -> Relationship:
+    kind = check(obj, dict, DiagramFormatError).get("kind")
+    if not isinstance(kind, str) or kind.lower() not in _KINDS:
+        raise DiagramFormatError(f".kind: expected one of {', '.join(_KINDS)}, got {kind!r:.40}")
+    # Endpoints only need to be strings: validate() checks them against the classes.
+    return Relationship(_KINDS[kind.lower()],
+                        check(obj.get("from"), str, DiagramFormatError, ".from"),
+                        check(obj.get("to"), str, DiagramFormatError, ".to"))
+
+
+def _items(data: dict, key: str, build) -> tuple:
+    """build(item) for each item of data[key]; an error gets the item's path in front."""
+    items = []
+    for i, obj in enumerate(check(data.get(key, []), list, DiagramFormatError, key)):
+        try:
+            items.append(build(obj))
+        except DiagramFormatError as exc:
+            raise DiagramFormatError(f"{key}[{i}]{exc}") from None
+    return tuple(items)
+
+
+def from_dict_reference(data) -> ClassDiagram:
+    """Structured-data import; inverse of to_dict.
+
+    A container or field of the wrong type, an unknown relationship kind, or
+    a name outside the DSL identifier grammar raises DiagramFormatError with
+    the field's path, such as ``classes[0].attributes``.
+    """
+    check(data, dict, DiagramFormatError, "diagram")
+    return ClassDiagram(
+        _ident(data.get("id", "unnamed"), "id"),
+        _items(data, "classes", _class_decl),
+        _items(data, "relationships", _relationship),
+    )

@@ -104,6 +104,17 @@ def test_metrics_reads_structured_json(tmp_path, capsys):
     assert payload[0]["metrics"]["NA"] == 1
 
 
+@pytest.mark.parametrize("name", ["D.JSON", "d.Json"])
+def test_metrics_reads_a_json_extension_in_any_case(tmp_path, capsys, name):
+    obj = {"id": "j", "classes": [{"name": "A", "attributes": ["x"]}, {"name": "B"}],
+           "relationships": [{"kind": "Generalization", "from": "B", "to": "A"}]}
+    path = _write(tmp_path, name, json.dumps(obj))
+    assert main(["--format", "json", "metrics", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload[0]["id"] == "j"
+    assert (payload[0]["metrics"]["NA"], payload[0]["metrics"]["NGen"]) == (1, 1)
+
+
 def test_estimate_default_model(tmp_path, capsys):
     path = _write(tmp_path, "big.cd", BIG)
     assert main(["estimate", path]) == 0
@@ -199,6 +210,18 @@ def test_validate_resolves_diagram_column(tmp_path, capsys):
     assert main(["--format", "json", "validate", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["n"] == 3
+
+
+def test_validate_reads_a_diagram_column_json_extension_in_any_case(tmp_path, capsys):
+    _write(tmp_path, "big.cd", BIG)
+    reports = []
+    for name in ("e.json", "E.JSON"):
+        _write(tmp_path, name, json.dumps({"id": "empty"}))
+        path = _write(tmp_path, "v.csv", f"id,known,diagram\nbig,4,big.cd\nempty,1,{name}\n")
+        assert main(["--format", "json", "validate", path]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[1]["n"] == 2
 
 
 def test_validate_malformed_corpus_exit_4(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import time
 
 import pytest
@@ -9,7 +10,7 @@ from cdmetrics.dsl import from_dict, parse, serialize, to_dict
 from cdmetrics.errors import DiagramFormatError, DslSyntaxError
 
 from .conftest import valid_diagrams
-from .oracles import parse_reference
+from .oracles import from_dict_reference, parse_reference
 
 
 def test_class_body_counts():
@@ -224,6 +225,111 @@ def test_structured_schema_error_names_field_path(obj, path):
     with pytest.raises(DiagramFormatError) as exc:
         from_dict(obj)
     assert str(exc.value).startswith(f"{path}: ")
+
+
+_KIND_NAMES = "association, aggregation, dependency, generalization"
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"classes": [{"name": 5, "attributes": "x"}]},
+     "classes[0].name: expected an identifier, got 5"),
+    ({"classes": [{"name": "A", "attributes": ["x", "x"], "methods": [1]}]},
+     "classes[0].methods: expected an identifier, got 1"),
+    ({"classes": [{"name": "A", "attributes": ["x", "x"], "methods": ["m", "m"]}]},
+     "classes[0]: duplicate attribute name in class 'A'"),
+    ({"relationships": [{"kind": "inherits", "from": 1, "to": "B"}]},
+     f"relationships[0].kind: expected one of {_KIND_NAMES}, got 'inherits'"),
+    ({"relationships": [{"kind": "dependency", "from": None}]},
+     "relationships[0].from: expected str, got None"),
+    ({"classes": [{"name": "A", "attributes": [True]}]},
+     "classes[0].attributes: expected an identifier, got True"),
+    ({"classes": [{"name": "A"}, 7], "relationships": "x"}, "classes[1]: expected dict, got 7"),
+    ({"id": "9", "classes": "x"}, "id: expected an identifier, got '9'"),
+])
+def test_structured_schema_error_is_the_first_failing_check(obj, message):
+    with pytest.raises(DiagramFormatError) as exc:
+        from_dict(obj)
+    assert str(exc.value) == message
+
+
+def test_structured_kind_is_matched_in_any_case():
+    obj = {"classes": [{"name": "A"}, {"name": "B"}],
+           "relationships": [{"kind": "GENERALIZATION", "from": "B", "to": "A"},
+                             {"kind": "Association", "from": "A", "to": "B"}]}
+    assert from_dict(obj).relationships == (Relationship(RelKind.GENERALIZATION, "B", "A"),
+                                            Relationship(RelKind.ASSOCIATION, "A", "B"))
+
+
+# Mutations for the JSON differential test.  A mutation picks one container
+# of the diagram object (the object itself, a class or relationship, or a
+# list) and sets, deletes, appends, replaces or repeats one of its entries,
+# with a value drawn from wrong container types, bools, numbers, None, bad
+# identifiers, names the diagram uses, and case variants of a kind.
+_JSON_VALUES = [[], {}, (), "", "9x", "a b", "x\n", "\u00e9", "A", "x", "m", True, False, 0, 1,
+                2.5, None, "association", "GENERALIZATION", "Dependency", "aggregatioN",
+                "inherits", ["x", "x"], [1], [True], {"name": "A"}, {"kind": "dependency"}]
+_JSON_KEYS = ["id", "classes", "relationships", "name", "attributes", "methods", "kind",
+              "from", "to"]
+_JSON_EDITS = ["set", "delete", "append", "repeat"]
+
+
+def _containers(obj) -> list:
+    """obj and every dict and list in it, depth first."""
+    found, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            found.append(node)
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    return found
+
+
+def _mutated_object(obj, edits):
+    for op, at, key, index, value in edits:
+        containers = _containers(obj)
+        if not containers:
+            break
+        node, value = containers[at % len(containers)], copy.deepcopy(value)
+        if isinstance(node, dict):
+            if op == "delete":
+                node.pop(key, None)
+            else:
+                node[key] = value
+        elif op == "append":
+            node.append(value)
+        elif node and op == "repeat":  # a member list with a repeat is an error
+            node.append(node[index % len(node)])
+        elif node and op == "delete":
+            del node[index % len(node)]
+        elif node:
+            node[index % len(node)] = value
+    return obj
+
+
+def _read(reader, obj):
+    try:
+        d = reader(obj)
+    except Exception as exc:  # any error: the two readers must fail alike
+        return type(exc), str(exc)
+    records = d.classes + d.relationships
+    return d.id, d.classes, d.relationships, [type(r) for r in records]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(valid_diagrams(max_classes=4),
+       st.lists(st.tuples(st.sampled_from(_JSON_EDITS), st.integers(0, 40),
+                          st.sampled_from(_JSON_KEYS), st.integers(0, 8),
+                          st.sampled_from(_JSON_VALUES)), min_size=1, max_size=3),
+       st.sampled_from([None, str.upper, str.title]))
+def test_from_dict_agrees_with_the_reference_reader(d, edits, case):
+    # from_dict checks each item in place; from_dict_reference calls a helper
+    # per item and field.  Diagrams, or errors with type and message, match.
+    obj = to_dict(d)
+    if case is not None:
+        for rel in obj["relationships"]:
+            rel["kind"] = case(rel["kind"])
+    obj = _mutated_object(obj, edits)
+    assert _read(from_dict, obj) == _read(from_dict_reference, obj)
 
 
 # Line vocabulary for the differential test: each group up to the blank line
