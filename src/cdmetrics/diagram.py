@@ -20,6 +20,8 @@ class RelKind(Enum):
     AGGREGATION = "aggregation"
     DEPENDENCY = "dependency"
     GENERALIZATION = "generalization"
+    # Identity, as Enum's equality is, and in C: Enum's own __hash__ is a Python call.
+    __hash__ = object.__hash__
 
 
 class ClassDecl(NamedTuple):
@@ -92,15 +94,16 @@ class ClassDiagram:
             (RelKind.AGGREGATION, AggregationCycle),
         ):
             successors: dict[str, dict[str, None]] = {}
-            for r in self._groups[kind]:
-                targets = successors.setdefault(r.source, {})
-                if r.target in targets:
-                    raise DuplicateHierarchyEdge(kind, (r.source, r.target))
-                targets[r.target] = None
+            for _, source, target in self._groups[kind]:
+                targets = successors.setdefault(source, {})
+                if target in targets:
+                    raise DuplicateHierarchyEdge(kind, (source, target))
+                targets[target] = None
             level = depths[kind] = {}
             try:
                 for node in TopologicalSorter(successors).static_order():
-                    level[node] = 1 + max((level[s] for s in successors.get(node, ())), default=-1)
+                    targets = successors.get(node)
+                    level[node] = 1 + max(map(level.__getitem__, targets)) if targets else 0
             except CycleError as exc:
                 # args[1] walks the cycle against the edges and repeats its
                 # first node: [a, c, b, a] for a -> b -> c -> a.
@@ -132,10 +135,9 @@ def validate(diagram: ClassDiagram) -> ClassDiagram:
             raise DuplicateClass(cls.name)
         seen.add(cls.name)
 
-    for rel in diagram.relationships:
-        for endpoint in (rel.source, rel.target):
-            if endpoint not in seen:
-                raise UnknownEndpoint(rel.kind, endpoint)
+    for kind, source, target in diagram.relationships:
+        if source not in seen or target not in seen:
+            raise UnknownEndpoint(kind, source if source not in seen else target)
 
     diagram.depths  # raises on a duplicate hierarchy edge or a cycle
     return diagram

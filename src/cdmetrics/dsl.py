@@ -12,12 +12,14 @@ Grammar (one construct per line, ``#`` starts a comment, blank lines ignored)::
     dep <A> -> <B>
     gen <Child> => <Parent>
 
-Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  A class body's first entry
-may follow the ``{`` on the ``class`` line, and its closing ``}`` may stand
-alone on its line, follow the last body entry, or close an empty body on the
-``class`` line itself (``class A {}``).  A syntax error names the line and
-the column of the offending token, or of the place just past the line's
-last token when a token is missing.
+Identifiers are ASCII letters, digits and ``_``, not starting with a digit
+(``[A-Za-z_][A-Za-z0-9_]*``, which ``s.isascii() and s.isidentifier()``
+tests), so ``café`` is an error.  A class body's first entry may follow the
+``{`` on the ``class`` line, and its closing ``}`` may stand alone on its
+line, follow the last body entry, or close an empty body on the ``class``
+line itself (``class A {}``).  A syntax error names the line and the
+column of the offending token, or of the place just past the line's last
+token when a token is missing.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from typing import NamedTuple
 from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship
 from .errors import DiagramFormatError, DslSyntaxError, check
 
-# The one identifier grammar, for DSL tokens and structured-data names alike.
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KINDS = {kind.value: kind for kind in RelKind}
 # A ClassDecl or Relationship from a tuple of its fields, without its Python-level __new__.
 _record = tuple.__new__
@@ -90,23 +90,23 @@ def parse(source: str) -> ClassDiagram:
         if name is None:
             if head in _ARROWS:
                 arrow, kind = _ARROWS[head]
-                if n < 2 or not _IDENT.match(tokens[1]):
+                if n < 2 or not (tokens[1].isascii() and tokens[1].isidentifier()):
                     _fail(number, code, 1, _bad_ident(tokens, 1, "class name"))
                 if n < 3 or tokens[2] != arrow:
                     _fail(number, code, 2, f"expected arrow {arrow!r}")
-                if n < 4 or not _IDENT.match(tokens[3]):
+                if n < 4 or not (tokens[3].isascii() and tokens[3].isidentifier()):
                     _fail(number, code, 3, _bad_ident(tokens, 3, "class name"))
                 if n > 4:
                     _fail(number, code, 4, f"unexpected token {tokens[4]!r}")
-                relationships.append(Relationship(kind, tokens[1], tokens[3]))
+                relationships.append(_record(Relationship, (kind, tokens[1], tokens[3])))
                 continue
             if head == "class":
-                if n < 2 or not _IDENT.match(tokens[1]):
+                if n < 2 or not (tokens[1].isascii() and tokens[1].isidentifier()):
                     _fail(number, code, 1, _bad_ident(tokens, 1, "class name"))
                 if n > 2 and tokens[2] == "{}":
                     if n > 3:
                         _fail(number, code, 3, f"unexpected token {tokens[3]!r}")
-                    classes.append(ClassDecl(tokens[1]))
+                    classes.append(_record(ClassDecl, (tokens[1], (), ())))
                     continue
                 if n < 3 or tokens[2] != "{":
                     _fail(number, code, 2, "expected class body opener '{'")
@@ -116,7 +116,7 @@ def parse(source: str) -> ClassDiagram:
                 tokens, start = tokens[3:], 3  # a body entry follows the {
                 head, n = tokens[0], n - 3
             elif head == "diagram" and not (diagram_id or classes or relationships):
-                if n < 2 or not _IDENT.match(tokens[1]):
+                if n < 2 or not (tokens[1].isascii() and tokens[1].isidentifier()):
                     _fail(number, code, 1, _bad_ident(tokens, 1, "diagram name"))
                 if n > 2:
                     _fail(number, code, 2, f"unexpected token {tokens[2]!r}")
@@ -128,7 +128,7 @@ def parse(source: str) -> ClassDiagram:
                 _fail(number, code, 0, f"unknown keyword {head!r}")
 
         if head == "attr" or head == "method":
-            if n < 2 or not _IDENT.match(tokens[1]):
+            if n < 2 or not (tokens[1].isascii() and tokens[1].isidentifier()):
                 _fail(number, code, start + 1, _bad_ident(tokens, 1, f"{head} name"))
             members = attrs if head == "attr" else methods
             if tokens[1] in members:
@@ -146,7 +146,7 @@ def parse(source: str) -> ClassDiagram:
                   f"expected 'attr', 'method' or '}}' in class body, got {head!r}")
         elif n > 1:
             _fail(number, code, start + 1, f"unexpected token {tokens[1]!r}")
-        classes.append(ClassDecl(name, tuple(attrs), tuple(methods)))
+        classes.append(_record(ClassDecl, (name, tuple(attrs), tuple(methods))))
         name = None
 
     if name is not None:
@@ -195,7 +195,7 @@ def to_dict(diagram: ClassDiagram) -> dict:
 
 
 def _ident(value, path: str) -> str:
-    if isinstance(value, str) and _IDENT.match(value):
+    if isinstance(value, str) and value.isascii() and value.isidentifier():
         return value
     raise DiagramFormatError(f"{path}: expected an identifier, got {value!r:.40}")
 
@@ -232,14 +232,15 @@ def from_dict(data) -> ClassDiagram:
     failing check, with the field's path, such as ``classes[0].attributes``.
     """
     check(data, dict, DiagramFormatError, "diagram")
-    diagram_id, match = _ident(data.get("id", "unnamed"), "id"), _IDENT.match
+    diagram_id = _ident(data.get("id", "unnamed"), "id")
+    isascii, isident = str.isascii, str.isidentifier
     classes, items = [], check(data.get("classes", []), list, DiagramFormatError, "classes")
-    with suppress(TypeError):  # match() raises TypeError for a value that is not a str
+    with suppress(TypeError):  # an unbound str method raises TypeError for a value not a str
         for obj in items:
-            if not (isinstance(obj, dict) and match(name := obj.get("name"))
+            if not (isinstance(obj, dict) and isascii(name := obj.get("name")) and isident(name)
                     and isinstance(attrs := obj.get("attributes", []), list)
                     and isinstance(methods := obj.get("methods", []), list)
-                    and all(map(match, attrs)) and all(map(match, methods))
+                    and all(map(isascii, names := attrs + methods)) and all(map(isident, names))
                     and len(set(attrs)) == len(attrs) and len(set(methods)) == len(methods)):
                 break
             classes.append(_record(ClassDecl, (name, tuple(attrs), tuple(methods))))

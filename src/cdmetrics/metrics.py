@@ -42,23 +42,20 @@ METRIC_NAMES = MetricsVector._fields
 
 
 def count_hierarchies(diagram: ClassDiagram, kind: RelKind) -> int:
-    """Weakly connected components with at least one edge of the kind (union-find)."""
+    """Weakly connected components with at least one edge of the kind: by union-find,
+    the classes on those edges less the unions that joined two components."""
     parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for r in diagram.by_kind(kind):
-        for node in (r.source, r.target):
-            parent.setdefault(node, node)
-        parent[find(r.source)] = find(r.target)
-
-    return len({find(node) for node in parent})
+    unions = 0
+    for _, a, b in diagram.by_kind(kind):
+        a, b = parent.setdefault(a, a), parent.setdefault(b, b)
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]  # parent[a] is set before a
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            unions += 1
+    return len(parent) - unions
 
 
 def compute_metrics(diagram: ClassDiagram) -> MetricsVector:

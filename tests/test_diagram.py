@@ -88,6 +88,33 @@ def test_hierarchy_error_precedence(relationships, error):
         validate(d)
 
 
+_ASSOC, _DEP, _GEN, _AGG = (RelKind.ASSOCIATION, RelKind.DEPENDENCY, RelKind.GENERALIZATION,
+                            RelKind.AGGREGATION)
+
+
+@pytest.mark.parametrize("classes, relationships, message", [
+    (("A", "B", "A"), [(_ASSOC, "A", "Z")], "class 'A' declared more than once"),
+    (("A", "B"), [(_ASSOC, "A", "B"), (_DEP, "A", "X"), (_GEN, "Y", "A")],
+     "dependency relationship references undeclared class 'X'"),
+    (("A", "B"), [(_ASSOC, "P", "Q")], "association relationship references undeclared class 'P'"),
+    (("A", "B"), [(_ASSOC, "B", "Q")], "association relationship references undeclared class 'Q'"),
+    (("A", "B"), [(_GEN, "A", "B"), (_GEN, "B", "A"), (_ASSOC, "A", "Z")],
+     "association relationship references undeclared class 'Z'"),
+    (("A", "B"), [(_AGG, "A", "B"), (_AGG, "A", "B"), (_GEN, "B", "Z")],
+     "generalization relationship references undeclared class 'Z'"),
+], ids=["duplicate_class_first", "first_bad_relationship", "both_ends_name_source",
+        "target", "endpoint_before_cycle", "endpoint_before_duplicate_edge"])
+def test_validate_error_order(classes, relationships, message):
+    # Classes are checked first, then each relationship's source and target
+    # in declaration order, and only then the hierarchies.
+    d = ClassDiagram("d", _classes(*classes), tuple(
+        Relationship(kind, src, dst) for kind, src, dst in relationships
+    ))
+    with pytest.raises((DuplicateClass, UnknownEndpoint)) as exc:
+        validate(d)
+    assert str(exc.value) == message
+
+
 def test_self_association_legal_self_generalization_not():
     ok = ClassDiagram("d", _classes("A"), (
         Relationship(RelKind.ASSOCIATION, "A", "A"),

@@ -265,9 +265,10 @@ def test_structured_kind_is_matched_in_any_case():
 # list) and sets, deletes, appends, replaces or repeats one of its entries,
 # with a value drawn from wrong container types, bools, numbers, None, bad
 # identifiers, names the diagram uses, and case variants of a kind.
-_JSON_VALUES = [[], {}, (), "", "9x", "a b", "x\n", "\u00e9", "A", "x", "m", True, False, 0, 1,
-                2.5, None, "association", "GENERALIZATION", "Dependency", "aggregatioN",
-                "inherits", ["x", "x"], [1], [True], {"name": "A"}, {"kind": "dependency"}]
+_JSON_VALUES = [[], {}, (), "", "9x", "a b", "x\n", "\u00e9", "\u017f", "\u212a", "x\u0663",
+                "A", "x", "m", True, False, 0, 1, 2.5, None, "association", "GENERALIZATION",
+                "Dependency", "aggregatioN", "inherits", ["x", "x"], [1], [True], {"name": "A"},
+                {"kind": "dependency"}]
 _JSON_KEYS = ["id", "classes", "relationships", "name", "attributes", "methods", "kind",
               "from", "to"]
 _JSON_EDITS = ["set", "delete", "append", "repeat"]
@@ -363,8 +364,8 @@ _GROUPS = [
 # Token edits: (operation, position), at a line and with a token drawn apart;
 # line and position wrap around.  Small sampled_from sets draw evenly.
 _EDITS = [(op, pos) for op in ("drop", "insert", "replace") for pos in range(5)]
-_TOKENS = ["9x", "é", "{}", "{", "}", "--", "o-", "->", "=>", "-->", "attr", "method",
-           "class", "gen", "diagram", "A", "x", "#"]
+_TOKENS = ["9x", "é", "\u017f", "\u212a", "x\u0663", "{}", "{", "}", "--", "o-", "->", "=>",
+           "-->", "attr", "method", "class", "gen", "diagram", "A", "x", "#"]
 _SEPARATORS = [" ", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", "\u3000"]
 _ENDS = ["\n", "\n", "\r\n", "\r"]
 
@@ -409,3 +410,47 @@ def test_parse_agrees_with_the_reference_parser(groups, edits, at_lines, tokens,
     # for every line.  Results, or errors with message and span, match.
     source = _mutated_source(groups, edits, at_lines, tokens, separators, ends)
     assert _outcome(parse, source) == _outcome(parse_reference, source)
+
+
+# Values that str.isidentifier() accepts and the identifier grammar does not
+# (letters and a digit of other scripts), then values that are no identifier
+# at all; the last three are not a single DSL token either.
+_NOT_IDENTIFIERS = ["\u00e9", "\u017f", "\u212a", "\u00aa", "\uff21", "x\u0663", "9x",
+                    "", "A\n", "a b"]
+# One name slot each.  Every value above is an error in the first two; a value
+# that is one token is an error in every slot.
+_NAME_SLOTS = ["class {} {{}}\n", "gen {} => A\n", "diagram {}\n", "class A {{ attr {} }}\n",
+               "class A {{\n  method {}\n}}\n", "assoc A -- {}\n"]
+
+
+@pytest.mark.parametrize("slot", _NAME_SLOTS)
+@pytest.mark.parametrize("value", _NOT_IDENTIFIERS)
+def test_parse_identifier_grammar(value, slot):
+    source = slot.format(value)
+    outcome = _outcome(parse, source)
+    assert outcome == _outcome(parse_reference, source)
+    if value.split() == [value] or slot in _NAME_SLOTS[:2]:
+        assert outcome[0] is DslSyntaxError
+
+
+@pytest.mark.parametrize("slot", ["id", "name", "attributes", "methods"])
+@pytest.mark.parametrize("value", _NOT_IDENTIFIERS)
+def test_from_dict_identifier_grammar(value, slot):
+    obj = {"id": "d", "classes": [{"name": "A", "attributes": ["x"], "methods": ["m"]}]}
+    holder = obj if slot == "id" else obj["classes"][0]
+    holder[slot] = value if slot in ("id", "name") else [*holder[slot], value]
+    with pytest.raises(DiagramFormatError):
+        from_dict(obj)
+    assert _read(from_dict, obj) == _read(from_dict_reference, obj)
+
+
+@pytest.mark.parametrize("name", ["_", "A_1"])
+def test_identifier_grammar_accepts_underscores_and_digits(name):
+    source = (f"diagram {name}\nclass {name} {{ attr {name}\n method {name} }}\n"
+              f"gen {name} => {name}\n")
+    expected = (name, (ClassDecl(name, (name,), (name,)),),
+                (Relationship(RelKind.GENERALIZATION, name, name),))
+    assert _outcome(parse, source) == _outcome(parse_reference, source) == expected
+    obj = to_dict(ClassDiagram(*expected))
+    assert _read(from_dict, obj) == _read(from_dict_reference, obj)
+    assert _read(from_dict, obj)[:3] == expected
