@@ -174,7 +174,8 @@ def _cmd_estimate(args):
 
     def record(path, diagram):
         vec = compute_metrics(diagram)
-        return {"file": path, "id": diagram.id, "metrics": {p: vec[p] for p in model.predictors()},
+        return {"file": path, "id": diagram.id,
+                "metrics": {p: getattr(vec, p) for p, _ in model.coefficients},
                 "estimate": _estimate(model, args.model, vec)}
 
     return _per_file(args.paths, record)

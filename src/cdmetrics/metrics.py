@@ -15,7 +15,7 @@ from .diagram import ClassDiagram, RelKind
 
 
 class MetricsVector(NamedTuple):
-    """The eleven metrics; unlike a tuple's, an index is a metric name."""
+    """The eleven metrics as a plain tuple; read one by name with getattr."""
 
     NC: int = 0
     NA: int = 0
@@ -31,11 +31,6 @@ class MetricsVector(NamedTuple):
 
     def as_dict(self) -> dict[str, int]:
         return self._asdict()
-
-    def __getitem__(self, name: str) -> int:
-        if name not in METRIC_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
 
 
 METRIC_NAMES = MetricsVector._fields

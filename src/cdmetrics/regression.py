@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InsufficientSamples, ModelError, SingularDesign, check
 from .metrics import METRIC_NAMES, MetricsVector
@@ -37,9 +37,6 @@ class LinearModel(NamedTuple):
 
     intercept: float
     coefficients: tuple[tuple[str, float], ...]
-
-    def predictors(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.coefficients)
 
     def to_json_obj(self) -> dict:
         return {
@@ -77,10 +74,10 @@ class RatingCorpus(NamedTuple):
     ratings: numpy.ndarray
 
 
-def estimate(model: LinearModel, metrics: MetricsVector | Mapping[str, float]) -> float:
-    """intercept + sum of weight * metric value; no clamping or rounding."""
+def estimate(model: LinearModel, metrics: MetricsVector) -> float:
+    """intercept + sum of weight * getattr(metrics, name); no clamping or rounding."""
     return model.intercept + sum(
-        weight * float(metrics[name]) for name, weight in model.coefficients
+        weight * getattr(metrics, name) for name, weight in model.coefficients
     )
 
 

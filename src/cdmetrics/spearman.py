@@ -1,8 +1,8 @@
 """Spearman rank-correlation validation of model estimates against ratings.
 
-r_s = 1 - 6*sum(d^2) / (n*(n^2 - 1)), with d taken per pair.  In the default
-rank mode d is the difference of fractional ranks; value mode uses the raw
-difference computed - known instead (both modes use the same formula).
+r_s = 1 - 6*sum(d^2) / (n*(n^2 - 1)), with d = known - computed per pair.  In
+the default rank mode each side is replaced by its fractional ranks first; in
+value mode d is the raw difference (both modes use the same formula).
 
 The significance threshold takes the two-sided Student-t quantile at n - 2
 degrees of freedom from the standard library alone: the regularised
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import groupby
+from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import TooFewPairs, ValidationInputError
@@ -33,30 +35,30 @@ class RatedPair(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
+    """n pairs in `mode`; d = known - computed per pair (of ranks in rank mode, of
+    values in value mode) and sum_d_squared; r_s; and at alpha, critical_value
+    (NaN when significance() has no threshold: n < 4 or a tiny alpha) and significant."""
+
     n: int
     mode: DifferenceMode
     d: tuple[float, ...]
     sum_d_squared: float
     r_s: float
     alpha: float
-    critical_value: float  # NaN when n < 4
+    critical_value: float
     significant: bool
 
 
 def ranks_with_ties(values: Sequence[float]) -> list[float]:
-    """Fractional ranks: 1 for the smallest, ties averaged; sums to n(n+1)/2.
-    An empty list has no ranks: ranks_with_ties([]) is []."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        average = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = average
-        i = j + 1
+    """Fractional ranks: 1 for the smallest, ties given the mean of the ranks
+    they span; they sum to n(n+1)/2, and ranks_with_ties([]) is []."""
+    ranks, below = [0.0] * len(values), 0  # below: values ranked before this run of ties
+    for _, tied in groupby(sorted(range(len(values)), key=values.__getitem__), values.__getitem__):
+        tied = list(tied)
+        average = below + (len(tied) + 1) / 2
+        for i in tied:
+            ranks[i] = average
+        below += len(tied)
     return ranks
 
 
@@ -80,7 +82,7 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 
 def _t_ppf(p: float, nu: int) -> float:
-    """The p-quantile of Student's t with nu degrees of freedom, p in [0.75, 1].
+    """The p-quantile of Student's t with nu degrees of freedom, p in [0.75, 1).
 
     The two-sided tail 2(1 - p) is I_x(nu/2, 1/2) at x = nu / (nu + t^2);
     written as t f(t), f the t density, times a continued fraction, it is
@@ -89,8 +91,6 @@ def _t_ppf(p: float, nu: int) -> float:
     the Cornish-Fisher start.  Agrees with scipy's t.ppf to 1e-10 relative
     for nu up to 10^6.
     """
-    if p == 1:
-        return math.inf
     # Imported here, not at module level, so that only validate and reproduce
     # pay the statistics import at start-up.
     from statistics import NormalDist
@@ -121,12 +121,14 @@ def _t_ppf(p: float, nu: int) -> float:
 def significance(r_s: float, n: int, alpha: float) -> tuple[float, bool]:
     """Critical value via the t-approximation; significant iff r_s exceeds it.
 
-    Takes alpha in (0, 0.5] and n >= 4, unchecked: the CLI's --alpha type
-    and spearman() make sure of both.  r_s is compared with
-    t / sqrt(n - 2 + t^2) for the t quantile at 1 - alpha/2.  Below alpha of
-    about 1.1e-16, 1 - alpha/2 rounds to 1, t is infinite and the critical
-    value NaN, so nothing is significant.
+    Takes alpha in (0, 0.5], unchecked: the CLI's --alpha type makes sure of
+    it.  r_s is compared with t / sqrt(n - 2 + t^2) for the t quantile at
+    1 - alpha/2.  There is no threshold, and the result is (NaN, False), when
+    n < 4, or when alpha is below about 1.1e-16, so that 1 - alpha/2 rounds
+    to 1 and t would be infinite.
     """
+    if n < 4 or 1 - alpha / 2 == 1:
+        return math.nan, False
     t_quantile = _t_ppf(1 - alpha / 2, n - 2)
     # Equal to t / sqrt(n - 2 + t^2); in this form the critical value at n = 5
     # that tests/test_cli_golden.py pins keeps its last digit.
@@ -145,34 +147,21 @@ def spearman(
     (corpus.validation_pairs for the known and computed cells, and the CLI's
     estimate check for a value estimated from a diagram).  In value mode,
     finite differences can still be too large for r_s, whose sum of squares
-    overflows; that raises ValidationInputError.  With fewer than
-    4 pairs the significance threshold is undefined; the report then carries
+    overflows; that raises ValidationInputError.  Where significance() has no
+    threshold, as with fewer than 4 pairs, the report carries
     critical_value = NaN and significant = False.
     """
     n = len(pairs)
     if n < 2:
         raise TooFewPairs(n)
-    if mode is DifferenceMode.RANK:
-        known_ranks = ranks_with_ties([p.known for p in pairs])
-        computed_ranks = ranks_with_ties([p.computed for p in pairs])
-        d = [k - c for k, c in zip(known_ranks, computed_ranks)]
-    else:
-        d = [p.computed - p.known for p in pairs]
-    sum_d_squared = sum(x * x for x in d)
+    score = ranks_with_ties if mode is DifferenceMode.RANK else (lambda values: values)
+    # Columns by attribute: zip(*pairs) would hold a tuple iterator per pair, and at
+    # 10^4 pairs those set off extra garbage collections.
+    known = score([p.known for p in pairs])
+    computed = score([p.computed for p in pairs])
+    d = tuple(map(sub, known, computed))
+    sum_d_squared = sum(map(mul, d, d))
     r_s = 1 - 6 * sum_d_squared / (n * (n * n - 1))
     if not math.isfinite(r_s):  # only value mode's raw differences can be this large
         raise ValidationInputError(f"differences too large: r_s overflows in {mode.value} mode")
-    if n >= 4:
-        critical, signif = significance(r_s, n, alpha)
-    else:
-        critical, signif = math.nan, False
-    return ValidationReport(
-        n=n,
-        mode=mode,
-        d=tuple(d),
-        sum_d_squared=sum_d_squared,
-        r_s=r_s,
-        alpha=alpha,
-        critical_value=critical,
-        significant=signif,
-    )
+    return ValidationReport(n, mode, d, sum_d_squared, r_s, alpha, *significance(r_s, n, alpha))

@@ -276,7 +276,7 @@ def test_metrics_duplicate_member_exit_2_with_span(tmp_path, capsys):
     assert f"{path}:3:8:" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("alpha", ["0.7", "0"])
+@pytest.mark.parametrize("alpha", ["0.7", "0", "abc"])
 @pytest.mark.parametrize("command", ["validate", "reproduce"])
 def test_alpha_out_of_range_is_usage_error(tmp_path, capsys, command, alpha):
     # Two pairs: below the n >= 4 that the significance test itself needs.
@@ -287,6 +287,7 @@ def test_alpha_out_of_range_is_usage_error(tmp_path, capsys, command, alpha):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "--alpha" in err and "Traceback" not in err
+    assert "must be a number in" in err
 
 
 # (files, argv) per kind of file the CLI reads; the first file is the one

@@ -75,6 +75,7 @@ CASES = {
     "json_repeated_key": (
         {"d.json": '{"id": "d", "classes": [{"name": "A", "attributes": ["x"]}], "classes": []}'},
         ["metrics", "d.json"], 2, "d.json: key 'classes' named twice"),
+    "cd_missing_file": ({}, ["metrics", "missing.cd"], 2, "missing.cd: No such file or directory"),
     "cd_not_utf8": ({"d.cd": b"class A {}\n\xff\n"}, ["metrics", "d.cd"], 2, "d.cd"),
     "fit_corpus_infinite_predictor": ({"c.csv": "NA,rating\ninf,1\n1,2\n2,3\n"},
                                       ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv"),
@@ -86,6 +87,9 @@ CASES = {
                                      ["validate", "v.csv"], 4, "v.csv"),
     "validate_missing_known": ({"v.csv": "id,computed\na,1\nb,2\n"},
                                ["validate", "v.csv"], 4, "v.csv"),
+    "validate_no_computed_or_diagram_column": (
+        {"v.csv": "id,known\na,1\nb,2\n"}, ["validate", "v.csv"], 4,
+        "v.csv: need a 'computed' or 'diagram' column"),
     "validate_bad_model": (
         {"v.csv": GOOD_CORPUS, "m.model": "{bad"},
         ["validate", "v.csv", "--model", "m.model"], 4, "m.model"),
@@ -186,11 +190,11 @@ def test_malformed_input_is_one_line_naming_the_file_once(tmp_path, monkeypatch,
     assert all(name not in err for name in others), err
 
 
-@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "x"])
 def test_tolerance_out_of_range_is_usage_error(tolerance):
     code, out, err = _run(["reproduce", "--tolerance", tolerance])
     assert code == 1 and out == ""
-    assert err.startswith("usage:") and "--tolerance" in err
+    assert err.startswith("usage:") and "--tolerance" in err and "must be a number in" in err
 
 
 @pytest.mark.parametrize("predictors, named", [

@@ -29,6 +29,11 @@ def test_empty_diagram_is_valid():
     assert validate(d) == d
 
 
+def test_diagram_is_unequal_to_other_types_and_has_a_repr():
+    assert ClassDiagram() != "x"
+    assert repr(ClassDiagram()).startswith("ClassDiagram(id='unnamed'")
+
+
 def test_two_cycle_generalization_rejected():
     d = ClassDiagram("d", _classes("A", "B"), (
         Relationship(RelKind.GENERALIZATION, "A", "B"),

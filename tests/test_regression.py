@@ -157,7 +157,8 @@ def test_residual_orthogonality(seed):
         for _ in range(10)
     ]
     model = fit(_corpus(rows, predictors), predictors)
-    residuals = [row[-1] - estimate(model, dict(zip(predictors, row))) for row in rows]
+    residuals = [row[-1] - estimate(model, MetricsVector(**dict(zip(predictors, row))))
+                 for row in rows]
     scale = max(1.0, max(abs(row[-1]) for row in rows))
     assert abs(sum(residuals)) <= 1e-8 * scale * len(rows)
     for i in range(len(predictors)):
@@ -179,17 +180,15 @@ def test_prediction_invariant_under_predictor_reordering(seed):
     a = fit(rated, predictors)
     b = fit(rated, shuffled)
     for row in rows:
-        values = dict(zip(predictors, row))
+        values = MetricsVector(**dict(zip(predictors, row)))
         assert estimate(a, values) == pytest.approx(estimate(b, values), abs=1e-7, rel=1e-7)
 
 
 def test_estimate_is_affine():
-    v1 = {"NAssoc": 2.0, "NA": 7.0, "MaxDIT": 1.0}
-    v2 = {"NAssoc": 5.0, "NA": 1.0, "MaxDIT": 4.0}
+    v1 = MetricsVector(NAssoc=2.0, NA=7.0, MaxDIT=1.0)
+    v2 = MetricsVector(NAssoc=5.0, NA=1.0, MaxDIT=4.0)
     for alpha in (0.0, 0.25, 0.5, 1.0):
-        blended = {
-            k: alpha * v1[k] + (1 - alpha) * v2[k] for k in v1
-        }
+        blended = MetricsVector(*(alpha * a + (1 - alpha) * b for a, b in zip(v1, v2)))
         expected = alpha * estimate(PUBLISHED, v1) + (1 - alpha) * estimate(PUBLISHED, v2)
         assert estimate(PUBLISHED, blended) == pytest.approx(expected, abs=1e-12)
 

@@ -6,7 +6,7 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmetrics.corpus import load_reference_ratings
@@ -41,6 +41,18 @@ def test_ranks_full_tie():
 
 def test_ranks_empty_input():
     assert ranks_with_ties([]) == []
+
+
+# Mostly a few small values, so that ties are common; both signed zeros among them.
+tie_heavy_values = st.one_of(st.integers(0, 3), st.sampled_from([-0.0, 0.0, 1.5]), finite_floats)
+
+
+@settings(deadline=None)  # the first example pays scipy's import
+@given(st.lists(tie_heavy_values, max_size=60))
+def test_ranks_match_scipy_average_ranks(values):
+    from scipy.stats import rankdata
+
+    assert ranks_with_ties(values) == rankdata(values, method="average").tolist()
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=40))
@@ -139,6 +151,13 @@ def test_alpha_below_float_resolution_gives_no_threshold():
     # 1 - alpha/2 rounds to 1: the quantile is infinite, as scipy's was.
     critical, significant = significance(1.0, 28, 1e-17)
     assert math.isnan(critical) and not significant
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 0.05), (3, 0.05), (28, 1e-17)])
+def test_no_threshold_gives_nan_and_not_significant(n, alpha):
+    # Fewer than 4 pairs, or 1 - alpha/2 that rounds to 1: no t quantile to compare with.
+    critical, significant = significance(1.0, n, alpha)
+    assert math.isnan(critical) and significant is False
 
 
 def _loaded_scipy_and_numpy(code: str, cwd=None) -> str:
