@@ -25,7 +25,6 @@ token when a token is missing.
 from __future__ import annotations
 
 import re
-from contextlib import suppress
 from typing import NamedTuple
 
 from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship
@@ -200,61 +199,52 @@ def _ident(value, path: str) -> str:
     raise DiagramFormatError(f"{path}: expected an identifier, got {value!r:.40}")
 
 
-def _item_fault(key: str, index: int, obj):
-    """obj is data[key][index], the first item that from_dict refused: raise the
-    DiagramFormatError of its first failing check, in check order."""
-    path = f"{key}[{index}]"
-    check(obj, dict, DiagramFormatError, path)
-    if key == "relationships":
-        kind = obj.get("kind")
-        if not isinstance(kind, str) or kind.lower() not in _KINDS:
-            raise DiagramFormatError(
-                f"{path}.kind: expected one of {', '.join(_KINDS)}, got {kind!r:.40}")
-        for end in ("from", "to"):
-            check(obj.get(end), str, DiagramFormatError, f"{path}.{end}")
-        return
-    name = _ident(obj.get("name"), f"{path}.name")
-    for field in ("attributes", "methods"):
-        for member in check(obj.get(field, []), list, DiagramFormatError, f"{path}.{field}"):
-            _ident(member, f"{path}.{field}")
-    for label in ("attribute", "method"):
-        if len(set(obj.get(f"{label}s", []))) != len(obj.get(f"{label}s", [])):
-            raise DiagramFormatError(f"{path}: duplicate {label} name in class {name!r}")
-
-
 def from_dict(data) -> ClassDiagram:
     """Structured-data import; inverse of to_dict.
 
-    One pass over `classes` and one over `relationships` check each item in
-    place: its type, its names against the DSL identifier grammar, its member
-    lists for repeats, and a relationship's `kind`, in any case.  At the first
-    item that fails, `_item_fault` raises the DiagramFormatError of its first
-    failing check, with the field's path, such as ``classes[0].attributes``.
+    One ordered walk over `classes` and one over `relationships`, as `parse`
+    reads lines: each item's checks run in turn (its type, its names against
+    the DSL identifier grammar, its member lists for repeats, a relationship's
+    `kind`, in any case), and the first that fails raises a DiagramFormatError
+    with the field's path, such as ``classes[0].attributes``.  An item's index
+    in that path is the count of items already accepted.
     """
     check(data, dict, DiagramFormatError, "diagram")
     diagram_id = _ident(data.get("id", "unnamed"), "id")
     isascii, isident = str.isascii, str.isidentifier
-    classes, items = [], check(data.get("classes", []), list, DiagramFormatError, "classes")
-    with suppress(TypeError):  # an unbound str method raises TypeError for a value not a str
-        for obj in items:
-            if not (isinstance(obj, dict) and isascii(name := obj.get("name")) and isident(name)
-                    and isinstance(attrs := obj.get("attributes", []), list)
-                    and isinstance(methods := obj.get("methods", []), list)
-                    and all(map(isascii, names := attrs + methods)) and all(map(isident, names))
-                    and len(set(attrs)) == len(attrs) and len(set(methods)) == len(methods)):
-                break
-            classes.append(_record(ClassDecl, (name, tuple(attrs), tuple(methods))))
-    if len(classes) < len(items):
-        _item_fault("classes", len(classes), items[len(classes)])
-    rels, items = [], check(data.get("relationships", []), list, DiagramFormatError,
-                            "relationships")
-    for obj in items:  # endpoints need only be strings: validate() checks them against the classes
-        if not (isinstance(obj, dict) and isinstance(kind := obj.get("kind"), str)
-                and isinstance(source := obj.get("from"), str)
-                and isinstance(target := obj.get("to"), str)
+    classes = []
+    for obj in check(data.get("classes", []), list, DiagramFormatError, "classes"):
+        if not isinstance(obj, dict):
+            check(obj, dict, DiagramFormatError, f"classes[{len(classes)}]")
+        if not (isinstance(name := obj.get("name"), str) and isascii(name) and isident(name)):
+            _ident(name, f"classes[{len(classes)}].name")
+        attrs, methods = obj.get("attributes", []), obj.get("methods", [])
+        try:  # an unbound str method raises TypeError for a value not a str
+            named = all(map(isascii, names := attrs + methods)) and all(map(isident, names))
+        except TypeError:
+            named = False
+        if not (named and isinstance(attrs, list) and isinstance(methods, list)):
+            path = f"classes[{len(classes)}]"
+            for field, members in ("attributes", attrs), ("methods", methods):
+                for member in check(members, list, DiagramFormatError, f"{path}.{field}"):
+                    _ident(member, f"{path}.{field}")
+        if len(set(attrs)) != len(attrs) or len(set(methods)) != len(methods):
+            label = "attribute" if len(set(attrs)) != len(attrs) else "method"
+            raise DiagramFormatError(
+                f"classes[{len(classes)}]: duplicate {label} name in class {name!r}")
+        classes.append(_record(ClassDecl, (name, tuple(attrs), tuple(methods))))
+    rels = []
+    for obj in check(data.get("relationships", []), list, DiagramFormatError, "relationships"):
+        if not isinstance(obj, dict):
+            check(obj, dict, DiagramFormatError, f"relationships[{len(rels)}]")
+        if not (isinstance(kind := obj.get("kind"), str)
                 and (rel_kind := _KINDS.get(kind.lower()))):
-            break
+            raise DiagramFormatError(f"relationships[{len(rels)}].kind: expected one of "
+                                     f"{', '.join(_KINDS)}, got {kind!r:.40}")
+        # Endpoints need only be strings: validate() checks them against the classes.
+        if not (isinstance(source := obj.get("from"), str)
+                and isinstance(target := obj.get("to"), str)):
+            for end in ("from", "to"):
+                check(obj.get(end), str, DiagramFormatError, f"relationships[{len(rels)}].{end}")
         rels.append(_record(Relationship, (rel_kind, source, target)))
-    if len(rels) < len(items):
-        _item_fault("relationships", len(rels), items[len(rels)])
     return ClassDiagram(diagram_id, tuple(classes), tuple(rels))

@@ -64,6 +64,13 @@ CASES = {
         {"d.json": json.dumps({"classes": [{"name": "A"}],
                                "relationships": [{"kind": "association", "from": "A"}]})},
         ["estimate", "d.json"], 2, "d.json"),
+    "json_third_relationship_bad": (
+        {"bad_rel.json": json.dumps({
+            "classes": [{"name": "A"}, {"name": "B"}],
+            "relationships": [{"kind": "association", "from": "A", "to": "B"},
+                              {"kind": "dependency", "from": "B", "to": "A"},
+                              {"kind": "association", "from": "A", "to": 5}]})},
+        ["metrics", "bad_rel.json"], 2, "bad_rel.json: relationships[2]."),
     "json_duplicate_attributes": (
         {"d.json": json.dumps({"classes": [{"name": "A", "attributes": ["x", "x"]}]})},
         ["metrics", "d.json"], 2, "d.json"),

@@ -245,6 +245,18 @@ _KIND_NAMES = "association, aggregation, dependency, generalization"
      "classes[0].attributes: expected an identifier, got True"),
     ({"classes": [{"name": "A"}, 7], "relationships": "x"}, "classes[1]: expected dict, got 7"),
     ({"id": "9", "classes": "x"}, "id: expected an identifier, got '9'"),
+    ({"classes": [{"name": "A"}, {"name": "B"}],
+      "relationships": [{"kind": "association", "from": "A", "to": "B"},
+                        {"kind": "dependency", "from": "B", "to": "A"},
+                        {"kind": "association", "from": "A", "to": 5}]},
+     "relationships[2].to: expected str, got 5"),
+    ({"relationships": [{"kind": "association", "from": "A", "to": "B"}, ["x"]]},
+     "relationships[1]: expected dict, got ['x']"),
+    ({"classes": [{"name": "A", "methods": ["m", "n"]}, {"name": "B", "attributes": ["m"]},
+                  {"name": "C", "attributes": ["x"], "methods": ["m", "n", "m"]}]},
+     "classes[2]: duplicate method name in class 'C'"),
+    ({"classes": [{"name": "A", "attributes": [None], "methods": [1]}]},
+     "classes[0].attributes: expected an identifier, got None"),
 ])
 def test_structured_schema_error_is_the_first_failing_check(obj, message):
     with pytest.raises(DiagramFormatError) as exc:

@@ -6,8 +6,10 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import rankdata
+from scipy.stats import t as student_t
 
 from cdmetrics.corpus import load_reference_ratings
 from cdmetrics.errors import TooFewPairs, ValidationInputError
@@ -47,11 +49,8 @@ def test_ranks_empty_input():
 tie_heavy_values = st.one_of(st.integers(0, 3), st.sampled_from([-0.0, 0.0, 1.5]), finite_floats)
 
 
-@settings(deadline=None)  # the first example pays scipy's import
 @given(st.lists(tie_heavy_values, max_size=60))
 def test_ranks_match_scipy_average_ranks(values):
-    from scipy.stats import rankdata
-
     assert ranks_with_ties(values) == rankdata(values, method="average").tolist()
 
 
@@ -128,8 +127,6 @@ GRID_ALPHA = [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5]
 def _scipy_quantile(alpha, n):
     """The quantile the threshold used to take from scipy, which the package
     no longer imports."""
-    from scipy.stats import t as student_t
-
     return float(student_t.ppf(1 - alpha / 2, n - 2))
 
 
