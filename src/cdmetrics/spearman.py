@@ -147,9 +147,9 @@ def spearman(
     (corpus.validation_pairs for the known and computed cells, and the CLI's
     estimate check for a value estimated from a diagram).  In value mode,
     finite differences can still be too large for r_s, whose sum of squares
-    overflows; that raises ValidationInputError.  Where significance() has no
-    threshold, as with fewer than 4 pairs, the report carries
-    critical_value = NaN and significant = False.
+    overflows; that raises ValidationInputError, as does a constant column in
+    rank mode.  Where significance() has no threshold, as with fewer than 4
+    pairs, the report carries critical_value = NaN and significant = False.
     """
     n = len(pairs)
     if n < 2:
@@ -159,6 +159,10 @@ def spearman(
     # 10^4 pairs those set off extra garbage collections.
     known = score([p.known for p in pairs])
     computed = score([p.computed for p in pairs])
+    if mode is DifferenceMode.RANK:  # a constant column has no r_s; the formula would give one
+        for name, ranks in (("known", known), ("computed", computed)):
+            if ranks[0] == (n + 1) / 2 and ranks.count(ranks[0]) == n:  # all at the mean rank
+                raise ValidationInputError(f"column {name!r} is constant: no r_s in rank mode")
     d = tuple(map(sub, known, computed))
     sum_d_squared = sum(map(mul, d, d))
     r_s = 1 - 6 * sum_d_squared / (n * (n * n - 1))

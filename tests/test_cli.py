@@ -197,9 +197,23 @@ def test_validate_rank_mode(tmp_path, capsys):
 
 
 def test_validate_ties_smallest_n(tmp_path, capsys):
-    path = _write(tmp_path, "v.csv", "id,known,computed\na,2,1.5\nb,2,2.5\n")
+    # At n = 2 a tie makes its column constant, which has no r_s; n = 3 is the
+    # smallest corpus with a tie and an r_s.
+    path = _write(tmp_path, "v.csv", "id,known,computed\na,2,1.5\nb,2,2.5\nc,3,2.5\n")
     assert main(["validate", path]) == 0
     assert "r_s" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("column", ["known", "computed"])
+def test_validate_constant_column_in_rank_mode_exit_4(tmp_path, capsys, column):
+    rows = [(3, i / 10) if column == "known" else (1 + i % 5, 2.5) for i in range(100)]
+    path = _write(tmp_path, "v.csv", "id,known,computed\n" + "".join(
+        f"d{i},{k},{c}\n" for i, (k, c) in enumerate(rows)))
+    assert main(["validate", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: column {column!r} is constant: no r_s in rank mode\n"
+    assert main(["validate", path, "--mode", "value"]) == 0  # the literal formula
 
 
 def test_validate_resolves_diagram_column(tmp_path, capsys):

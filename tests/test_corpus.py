@@ -188,6 +188,7 @@ def test_bulk_conversion_reads_cells_as_float_does(tmp_path, cell):
     ("NA,rating\n<big>,3\n", "fit.csv:2: field larger"),
     ("NA,rating\n1,2\n3,4,5\n", "fit.csv:3: more fields than the header"),
     ("NA,rating\n1,2\n\n3,4,5\n", "fit.csv:4: more fields than the header"),
+    ("NA,rating\n1,2\n\n3,4,5\n1,2\n<big>,3\n", "fit.csv:4: more fields than the header"),
     # The first bad cell in header order, then rating; a short row's missing cells are None.
     ("rating,NM,NA\nnan,x,inf\n", "bad numeric value for column 'NM': 'x'"),
     ("NM,NA,rating\n1, inf ,x\n", "bad numeric value for column 'NA': 'inf'"),
@@ -216,3 +217,49 @@ def test_fit_corpus_errors_and_lines(tmp_path, text, message):
     with pytest.raises(CorpusError) as oracle:
         rating_corpus_by_column(text, str(path))
     assert str(exc.value) == str(oracle.value)
+
+
+# A record's line is found again only when an error needs it; it must be the
+# line csv.reader had reached when it gave that record.
+@pytest.mark.parametrize("text, message", [
+    # A long record is named before a field too large that follows it.
+    ("id,known,computed\na,1,2\n\nb,2,3,4\nc,3,3\n<big>,4,4\n",
+     "v.csv:4: more fields than the header"),
+    # Blank lines and CRLF before a row with neither value: that row's own line.
+    ("id,known,computed\r\na,1,2\r\n\r\n\r\nb,2,\r\nc,3,3\r\n",
+     "v.csv:5: need a 'computed' or 'diagram' value"),
+    ("id,known,diagram,computed\n\na,1,d.cd,\n\n\n b , 2 , , \n",
+     "v.csv:6: need a 'computed' or 'diagram' value"),
+    # A quoted cell over two lines: the line its record ends on, and the lines after it.
+    ('id,known,computed\n"x\ny",1,\nb,2,2\n', "v.csv:3: need a 'computed' or 'diagram' value"),
+    ('id,known,computed\n"x\ny",1,2\nb,2,\n', "v.csv:4: need a 'computed' or 'diagram' value"),
+    ('id,known,computed\na,1,2\n"x\r\n\r\ny",1,2,3\n', "v.csv:5: more fields than the header"),
+    ('id,known,computed\n"x\ny",1,2\n<big>,1,2\n', "v.csv:4: field larger"),
+])
+def test_validation_lines_found_on_failure(text, message):
+    text = text.replace("<big>", TOO_LARGE)
+    got = _outcome(parse_validation_rows, text, "v.csv")
+    assert got.startswith(message)
+    assert got == _outcome(validation_rows_by_column, text, "v.csv")
+
+
+# A short row's missing cells are None, every row's columns in header order.
+def test_short_validation_row_is_padded_in_header_order():
+    rows = parse_validation_rows("computed,id,known,note\n1.5,a\n2, b ,3,x\n", "v.csv")
+    assert [list(row.items()) for row in rows] == [
+        [("computed", "1.5"), ("id", "a"), ("known", None), ("note", None)],
+        [("computed", "2"), ("id", "b"), ("known", "3"), ("note", "x")],
+    ]
+    assert rows == validation_rows_by_column("computed,id,known,note\n1.5,a\n2, b ,3,x\n", "v.csv")
+
+
+# strip() takes the information separators \x1c-\x1f that float() does not skip:
+# such a cell is read as its stripped number, as the by-column reader reads it.
+@pytest.mark.parametrize("cell", ["1\x1f", "\x1c 2", "3\x1e\t", "4 \x1d"])
+def test_separator_padding_is_stripped_before_conversion(tmp_path, cell):
+    text = f"NA,rating\n{cell},2\n5,{cell}\n"
+    path = tmp_path / "fit.csv"
+    path.write_text(text, encoding="utf-8")
+    want = float(cell.strip())
+    assert _by_row(load_rating_corpus(path)) == [({"NA": want}, 2.0), ({"NA": 5.0}, want)]
+    assert _by_row(load_rating_corpus(path)) == rating_corpus_by_column(text, str(path))

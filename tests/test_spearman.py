@@ -6,7 +6,7 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 from scipy.stats import t as student_t
@@ -86,7 +86,7 @@ def test_value_mode_overflow_is_an_input_error(computed):
 
 
 def test_two_pairs_allowed():
-    report = spearman(_pairs([1, 1], [2, 3]))
+    report = spearman(_pairs([1, 2], [2, 3]))
     assert report.n == 2
     assert math.isnan(report.critical_value)
     assert report.significant is False
@@ -196,11 +196,48 @@ def test_submodule_import_binds_the_module():
     assert m.spearman is spearman
 
 
+def _assume_no_constant_column(raw):
+    """r_s is defined only where neither column is constant (see the test below)."""
+    assume(len({k for k, _ in raw}) > 1 and len({c for _, c in raw}) > 1)
+
+
+# A constant column has no ranking, so r_s is undefined.  Rank mode's formula would
+# still give a number (0.5 against untied values, 1 if both columns are constant);
+# it raises instead, naming the column, known first.  Value mode keeps its formula.
+@given(st.lists(finite_floats, min_size=2, max_size=30), finite_floats, st.booleans())
+def test_a_constant_column_is_an_error_in_rank_mode(values, constant, known_is_constant):
+    column = [constant] * len(values)
+    knowns, computeds = (column, values) if known_is_constant else (values, column)
+    tied = "known" if known_is_constant or len(set(values)) == 1 else "computed"
+    pairs = _pairs(knowns, computeds)
+    with pytest.raises(ValidationInputError,
+                       match=f"^column '{tied}' is constant: no r_s in rank mode$"):
+        spearman(pairs)
+    n = len(pairs)
+    sum_d_squared = sum((k - c) ** 2 for k, c in pairs)
+    report = spearman(pairs, DifferenceMode.VALUE)
+    assert report.r_s == pytest.approx(1 - 6 * sum_d_squared / (n * (n * n - 1)), rel=1e-12)
+
+
+def test_a_constant_known_column_against_untied_values_is_an_error():
+    # The formula gives exactly 0.5 here, which would read as a real correlation.
+    pairs = _pairs([3] * 100, range(100))
+    known, computed = ranks_with_ties([3] * 100), ranks_with_ties(list(range(100)))
+    assert 1 - 6 * sum((k - c) ** 2 for k, c in zip(known, computed)) / (100 * 9999) == 0.5
+    with pytest.raises(ValidationInputError, match="column 'known' is constant"):
+        spearman(pairs)
+    # A first value at the mean rank is not enough: 2 of [2, 1, 3] is not a constant column.
+    assert spearman(_pairs([2, 1, 3], [1, 2, 3])).r_s == 0.5
+    with pytest.raises(TooFewPairs):  # too few pairs is still named first
+        spearman(_pairs([3], [3]))
+
+
 @given(
     st.lists(st.tuples(finite_floats, finite_floats), min_size=2, max_size=30),
     st.randoms(use_true_random=False),
 )
 def test_permutation_equivariance(raw, rnd):
+    _assume_no_constant_column(raw)
     pairs = [RatedPair(k, c) for k, c in raw]
     shuffled = pairs[:]
     rnd.shuffle(shuffled)
@@ -209,6 +246,7 @@ def test_permutation_equivariance(raw, rnd):
 
 @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=2, max_size=30))
 def test_monotone_transform_invariance(raw):
+    _assume_no_constant_column(raw)
     pairs = [RatedPair(k, c) for k, c in raw]
     # doubling is exact in binary floats, so tie structure is preserved
     transformed = [RatedPair(p.known, 8 * p.computed) for p in pairs]
