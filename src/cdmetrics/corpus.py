@@ -19,16 +19,20 @@ REFERENCE_RATINGS = os.path.join(os.path.dirname(__file__), "data", "table2.csv"
 REPORTED_RANK_CORRELATION = 0.9482
 
 
+def _delimiter(header_line: str) -> str:
+    """A corpus's delimiter: `,` if its header line has one, else `;` if it has one, else a tab."""
+    return next((d for d in ",;" if d in header_line), "\t")
+
+
 def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str]], Callable[[int], int]]:
     """Header names, the records as csv gives them, and line_of(i), the line record i ends on.
 
-    The delimiter is `,` if the header line has one, else `;` if it has one,
-    else a tab; quoting is Excel's.  Spaces and tabs after a delimiter and blank
-    lines are skipped and names stripped.  Records come back raw, neither stripped
-    nor padded, and none longer than the header; a line is found only on failure.
+    The delimiter is the header line's (_delimiter); quoting is Excel's.  Spaces
+    and tabs after a delimiter and blank lines are skipped and names stripped.
+    Records come back raw, neither stripped nor padded, and none longer than the
+    header; a line is found only on failure.
     """
-    header_line = text.partition("\n")[0]
-    delimiter = next((d for d in ",;" if d in header_line), "\t")
+    delimiter = _delimiter(text.partition("\n")[0])
     if delimiter != "\t" and "\t" in text:  # skipinitialspace skips spaces, not tabs
         # Padding tabs become spaces; a match ends with its field, so tabs in quotes stay.
         field = rf'([ \t]*)((?:"(?:[^"]|"")*(?:"|\Z))?[^{delimiter}\r\n]*)'
@@ -78,9 +82,57 @@ def load_rating_corpus(path: str) -> RatingCorpus:
 
     Every other column must name a metric, checked once at the header.  A cell
     that is not a finite number is named: the first by row, then predictors in
-    header order, then rating."""
+    header order, then rating.  A plain corpus is read by numpy's C text reader
+    (_plain_table), any other by _read_rows and float(): the same values either way."""
     where = str(path)
-    names, records, _ = _read_rows(read_file(path, CorpusError), where)
+    text = read_file(path, CorpusError)
+    names, table = _plain_table(text, where) or _exact_table(text, where)
+    at = names.index("rating")
+    import numpy as np  # loaded already by either reader
+    return RatingCorpus(tuple(names[:at] + names[at + 1:]), np.delete(table, at, axis=1),
+                        table[:, at])
+
+
+def _plain_table(text: str, where: str):
+    """(names, table) of a fit corpus with no quote, read by np.loadtxt, or None
+    where that reader could part from _exact_table.
+
+    loadtxt reads a cell as float() reads it stripped (CPython's correctly rounded
+    PyOS_string_to_double after str.strip's whitespace), but refuses what float()
+    forgives: `1_0`, non-ASCII digits, an empty cell.  Given no comment character,
+    it refuses a `#` in a cell, and it refuses a line break inside a line.  So a
+    table it reads whole, with the header's width and every value finite, is the
+    one _exact_table gives.  For any other corpus this declines, never raising or
+    warning, and _exact_table names the fault.  A quote is declined at once: a
+    quoted header name could span lines, and a quoted cell is no number to loadtxt.
+    """
+    header_line, _, body = text.partition("\n")
+    if '"' in text or not body or body.isspace():  # loadtxt warns on a body of no rows
+        return None
+    try:
+        names, _, _ = _read_rows(header_line, where)
+    except CorpusError:
+        return None
+    lines = body.split("\n")
+    # A line no longer than csv's field limit holds no field csv would refuse.
+    if (set(names).difference(METRIC_NAMES) != {"rating"}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    import numpy as np  # here, as in regression.fit, so that `validate` does not load it
+    try:
+        table = np.loadtxt(lines, delimiter=_delimiter(header_line), comments=None,
+                           quotechar=None, dtype=float, ndmin=2)
+    except ValueError:  # a cell it cannot read, or rows of unequal width
+        return None
+    if table.shape[1] != len(names) or not np.isfinite(table).all():
+        return None
+    return names, table
+
+
+def _exact_table(text: str, where: str):
+    """(names, table) of any fit corpus, by _read_rows and float(); the first fault
+    raises a CorpusError that names it."""
+    names, records, _ = _read_rows(text, where)
     if "rating" not in names:
         raise CorpusError(f"{where}: missing 'rating' column")
     at = names.index("rating")
@@ -100,7 +152,7 @@ def load_rating_corpus(path: str) -> RatingCorpus:
             for column in (*predictors, "rating"):
                 _number(row, column, where)
         table = np.array(stripped, dtype=float)  # strip() takes \x1c-\x1f, float() does not
-    return RatingCorpus(tuple(predictors), np.delete(table, at, axis=1), table[:, at])
+    return names, table
 
 
 def parse_validation_rows(text: str, where: str) -> list[dict[str, str]]:

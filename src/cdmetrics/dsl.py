@@ -31,6 +31,10 @@ from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship
 from .errors import DiagramFormatError, DslSyntaxError, check
 
 _KINDS = {kind.value: kind for kind in RelKind}
+# The keys a JSON diagram may have: at the top level, in a class, in a relationship.
+_DIAGRAM_KEYS = frozenset(("id", "classes", "relationships"))
+_CLASS_KEYS = frozenset(("name", "attributes", "methods"))
+_RELATIONSHIP_KEYS = frozenset(("kind", "from", "to"))
 # A ClassDecl or Relationship from a tuple of its fields, without its Python-level __new__.
 _record = tuple.__new__
 
@@ -203,19 +207,24 @@ def from_dict(data) -> ClassDiagram:
     """Structured-data import; inverse of to_dict.
 
     One ordered walk over `classes` and one over `relationships`, as `parse`
-    reads lines: each item's checks run in turn (its type, its names against
-    the DSL identifier grammar, its member lists for repeats, a relationship's
-    `kind`, in any case), and the first that fails raises a DiagramFormatError
-    with the field's path, such as ``classes[0].attributes``.  An item's index
-    in that path is the count of items already accepted.
+    reads lines: each item's checks run in turn (its type, its keys, its names
+    against the DSL identifier grammar, its member lists for repeats, a
+    relationship's `kind`, in any case), and the first that fails raises a
+    DiagramFormatError with the field's path, such as ``classes[0].attributes``.
+    An item's index in that path is the count of items already accepted.  The
+    diagram's own type and keys are checked before any item.
     """
     check(data, dict, DiagramFormatError, "diagram")
+    if not _DIAGRAM_KEYS.issuperset(data):
+        _unknown_key(data, _DIAGRAM_KEYS, "diagram")
     diagram_id = _ident(data.get("id", "unnamed"), "id")
     isascii, isident = str.isascii, str.isidentifier
     classes = []
     for obj in check(data.get("classes", []), list, DiagramFormatError, "classes"):
         if not isinstance(obj, dict):
             check(obj, dict, DiagramFormatError, f"classes[{len(classes)}]")
+        if not _CLASS_KEYS.issuperset(obj):
+            _unknown_key(obj, _CLASS_KEYS, f"classes[{len(classes)}]")
         if not (isinstance(name := obj.get("name"), str) and isascii(name) and isident(name)):
             _ident(name, f"classes[{len(classes)}].name")
         attrs, methods = obj.get("attributes", []), obj.get("methods", [])
@@ -237,6 +246,8 @@ def from_dict(data) -> ClassDiagram:
     for obj in check(data.get("relationships", []), list, DiagramFormatError, "relationships"):
         if not isinstance(obj, dict):
             check(obj, dict, DiagramFormatError, f"relationships[{len(rels)}]")
+        if not _RELATIONSHIP_KEYS.issuperset(obj):
+            _unknown_key(obj, _RELATIONSHIP_KEYS, f"relationships[{len(rels)}]")
         if not (isinstance(kind := obj.get("kind"), str)
                 and (rel_kind := _KINDS.get(kind.lower()))):
             raise DiagramFormatError(f"relationships[{len(rels)}].kind: expected one of "
@@ -248,3 +259,14 @@ def from_dict(data) -> ClassDiagram:
                 check(obj.get(end), str, DiagramFormatError, f"relationships[{len(rels)}].{end}")
         rels.append(_record(Relationship, (rel_kind, source, target)))
     return ClassDiagram(diagram_id, tuple(classes), tuple(rels))
+
+
+def _unknown_key(obj: dict, allowed: frozenset, path: str):
+    """Raise a DiagramFormatError at `path` naming the first key of obj not in
+    allowed, with the allowed key nearest to it, if any is near."""
+    import difflib  # only an error needs it
+
+    key = next(key for key in obj if key not in allowed)
+    near = difflib.get_close_matches(str(key).lower(), sorted(allowed), n=1)
+    hint = f" (did you mean {near[0]!r}?)" if near else ""
+    raise DiagramFormatError(f"{path}: unknown key {key!r:.40}{hint}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import difflib
 import io
 import math
 import random
@@ -318,8 +319,10 @@ def parse_reference(source: str) -> ClassDiagram:
 
 # --- the JSON diagram reader with a helper call per field ----------------------------
 # `from_dict` and its helpers as they stood before `from_dict` checked each item in
-# place, unchanged but for the name `from_dict_reference`.  `from_dict` must agree
-# with it on every input, in its result or in its error's type and message.
+# place, unchanged but for the name `from_dict_reference` and one rule added since:
+# a key the schema does not name is an error, checked just after the object's type.
+# `from_dict` must agree with it on every input, in its result or in its error's
+# type and message.
 
 _KINDS = {kind.value: kind for kind in RelKind}
 
@@ -330,8 +333,20 @@ def _ident(value, path: str) -> str:
     raise DiagramFormatError(f"{path}: expected an identifier, got {value!r:.40}")
 
 
+def _known_keys(obj: dict, allowed: tuple, path: str = "") -> dict:
+    """obj, if each of its keys is in allowed; else an error naming the first
+    other key and the allowed key closest to it in lower case, if one is close."""
+    for key in obj:
+        if key not in allowed:
+            near = difflib.get_close_matches(str(key).lower(), sorted(allowed), n=1)
+            hint = f" (did you mean {near[0]!r}?)" if near else ""
+            raise DiagramFormatError(f"{path}: unknown key {key!r:.40}{hint}")
+    return obj
+
+
 def _class_decl(obj) -> ClassDecl:
-    name = _ident(check(obj, dict, DiagramFormatError).get("name"), ".name")
+    obj = _known_keys(check(obj, dict, DiagramFormatError), ("name", "attributes", "methods"))
+    name = _ident(obj.get("name"), ".name")
     members = [
         tuple([_ident(n, path) for n in check(obj.get(key, []), list, DiagramFormatError, path)])
         for key, path in (("attributes", ".attributes"), ("methods", ".methods"))
@@ -343,7 +358,8 @@ def _class_decl(obj) -> ClassDecl:
 
 
 def _relationship(obj) -> Relationship:
-    kind = check(obj, dict, DiagramFormatError).get("kind")
+    obj = _known_keys(check(obj, dict, DiagramFormatError), ("kind", "from", "to"))
+    kind = obj.get("kind")
     if not isinstance(kind, str) or kind.lower() not in _KINDS:
         raise DiagramFormatError(f".kind: expected one of {', '.join(_KINDS)}, got {kind!r:.40}")
     # Endpoints only need to be strings: validate() checks them against the classes.
@@ -366,11 +382,13 @@ def _items(data: dict, key: str, build) -> tuple:
 def from_dict_reference(data) -> ClassDiagram:
     """Structured-data import; inverse of to_dict.
 
-    A container or field of the wrong type, an unknown relationship kind, or
-    a name outside the DSL identifier grammar raises DiagramFormatError with
-    the field's path, such as ``classes[0].attributes``.
+    A container or field of the wrong type, a key the schema does not name, an
+    unknown relationship kind, or a name outside the DSL identifier grammar
+    raises DiagramFormatError with the field's path, such as
+    ``classes[0].attributes``.
     """
-    check(data, dict, DiagramFormatError, "diagram")
+    _known_keys(check(data, dict, DiagramFormatError, "diagram"),
+                ("id", "classes", "relationships"), "diagram")
     return ClassDiagram(
         _ident(data.get("id", "unnamed"), "id"),
         _items(data, "classes", _class_decl),

@@ -82,6 +82,9 @@ CASES = {
     "json_repeated_key": (
         {"d.json": '{"id": "d", "classes": [{"name": "A", "attributes": ["x"]}], "classes": []}'},
         ["metrics", "d.json"], 2, "d.json: key 'classes' named twice"),
+    "json_misspelt_key": (
+        {"d.json": json.dumps({"classes": [{"name": "A", "attribute": ["x"]}]})},
+        ["metrics", "d.json"], 2, "d.json: classes[0]: unknown key 'attribute'"),
     "cd_missing_file": ({}, ["metrics", "missing.cd"], 2, "missing.cd: No such file or directory"),
     "cd_not_utf8": ({"d.cd": b"class A {}\n\xff\n"}, ["metrics", "d.cd"], 2, "d.cd"),
     "fit_corpus_infinite_predictor": ({"c.csv": "NA,rating\ninf,1\n1,2\n2,3\n"},

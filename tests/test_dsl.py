@@ -257,6 +257,19 @@ _KIND_NAMES = "association, aggregation, dependency, generalization"
      "classes[2]: duplicate method name in class 'C'"),
     ({"classes": [{"name": "A", "attributes": [None], "methods": [1]}]},
      "classes[0].attributes: expected an identifier, got None"),
+    # A key the schema does not name, checked after the object's type and before its fields.
+    ({"classes": [{"name": "A", "attribute": ["x"]}]},
+     "classes[0]: unknown key 'attribute' (did you mean 'attributes'?)"),
+    ({"classes": [{"name": "A"}, {"nam": 5}]}, "classes[1]: unknown key 'nam' (did you mean 'name'?)"),
+    ({"classes": [{"name": "A"}], "relationship": [{"kind": "x"}], "id": 5},
+     "diagram: unknown key 'relationship' (did you mean 'relationships'?)"),
+    ({"relationships": [{"kind": "inherits", "From": "A", "to": "B"}]},
+     "relationships[0]: unknown key 'From' (did you mean 'from'?)"),
+    ({"relationships": [{"kind": "association", "from": "A", "to": "B", "label": "x"}]},
+     "relationships[0]: unknown key 'label'"),
+    ({"relationships": [{"kind": "association", "from": "A", "To": "B"}]},
+     "relationships[0]: unknown key 'To' (did you mean 'to'?)"),
+    ({"classes": [7, {"extra": 1}]}, "classes[0]: expected dict, got 7"),
 ])
 def test_structured_schema_error_is_the_first_failing_check(obj, message):
     with pytest.raises(DiagramFormatError) as exc:
@@ -276,13 +289,14 @@ def test_structured_kind_is_matched_in_any_case():
 # of the diagram object (the object itself, a class or relationship, or a
 # list) and sets, deletes, appends, replaces or repeats one of its entries,
 # with a value drawn from wrong container types, bools, numbers, None, bad
-# identifiers, names the diagram uses, and case variants of a kind.
+# identifiers, names the diagram uses, and case variants of a kind.  Its key
+# is one the schema names, at this level or another, or a key it does not name.
 _JSON_VALUES = [[], {}, (), "", "9x", "a b", "x\n", "\u00e9", "\u017f", "\u212a", "x\u0663",
                 "A", "x", "m", True, False, 0, 1, 2.5, None, "association", "GENERALIZATION",
                 "Dependency", "aggregatioN", "inherits", ["x", "x"], [1], [True], {"name": "A"},
                 {"kind": "dependency"}]
 _JSON_KEYS = ["id", "classes", "relationships", "name", "attributes", "methods", "kind",
-              "from", "to"]
+              "from", "to", "attribute", "relationship", "Kind", "x"]
 _JSON_EDITS = ["set", "delete", "append", "repeat"]
 
 
