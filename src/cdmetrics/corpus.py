@@ -8,6 +8,7 @@ import math
 import os
 import re
 from collections.abc import Callable  # already loaded at start-up; for the annotation
+from operator import itemgetter
 
 from .errors import CorpusError, read_file
 from .metrics import METRIC_NAMES
@@ -103,12 +104,11 @@ def _plain_table(text: str, where: str):
     it refuses a `#` in a cell, and it refuses a line break inside a line.  So a
     table it reads whole, with the header's width and every value finite, is the
     one _exact_table gives.  For any other corpus this declines, never raising or
-    warning, and _exact_table names the fault.  A quote is declined at once: a
-    quoted header name could span lines, and a quoted cell is no number to loadtxt.
-    """
+    warning, and _exact_table names the fault: at once, before any parsing, for a
+    quote (a quoted name could span lines), non-ASCII text, `_`, `#` or NUL."""
     header_line, _, body = text.partition("\n")
-    if '"' in text or not body or body.isspace():  # loadtxt warns on a body of no rows
-        return None
+    if not text.isascii() or any(c in text for c in '"_#\x00') or not body or body.isspace():
+        return None  # loadtxt would refuse the text, or warn on a body of no rows
     try:
         names, _, _ = _read_rows(header_line, where)
     except CorpusError:
@@ -156,23 +156,35 @@ def _exact_table(text: str, where: str):
 
 
 def parse_validation_rows(text: str, where: str) -> list[dict[str, str]]:
-    """Validation corpus rows: id plus known, and a computed or a diagram value."""
+    """Validation corpus rows: id plus known, and a computed or a diagram value.  Cells
+    are stripped, but taken as they are where the text is ASCII and holds no character
+    str.strip takes but the line break, nor a quote: a quoted cell can end in a break."""
     names, records, line_of = _read_rows(text, where)
     if "known" not in names:
         raise CorpusError(f"{where}: missing 'known' column")
     if "computed" not in names and "diagram" not in names:
         raise CorpusError(f"{where}: need a 'computed' or 'diagram' column")
-    rows = [dict(zip(names, map(str.strip, fields))) for fields in records]
+    strip = not text.isascii() or any(c in text for c in '" \t\r\x0b\x0c\x1c\x1d\x1e\x1f')
+    rows = [dict(zip(names, map(str.strip, fields) if strip else fields)) for fields in records]
     if records and min(map(len, records)) < len(names):  # a short row's missing cells are None
         rows = [dict.fromkeys(names) | row for row in rows]
-    for i, row in enumerate(rows):
-        if not (row.get("computed") or row.get("diagram")):
-            raise CorpusError(f"{where}:{line_of(i)}: need a 'computed' or 'diagram' value")
+    if "computed" not in names or not all(map(itemgetter("computed"), rows)):
+        for i, row in enumerate(rows):  # the first row without a value names its line
+            if not (row.get("computed") or row.get("diagram")):
+                raise CorpusError(f"{where}:{line_of(i)}: need a 'computed' or 'diagram' value")
     return rows
 
 
 def pair_from_row(row: dict[str, str], computed: float, where: str) -> RatedPair:
-    return tuple.__new__(RatedPair, (_number(row, "known", where), computed))
+    """(known, computed) of a validation row, its `known` cell checked finite and
+    `computed` not: for validation_pairs, and callers that convert `computed` themselves."""
+    try:
+        known = float(row["known"])
+    except (KeyError, TypeError, ValueError):
+        known = math.nan
+    if not math.isfinite(known):
+        _number(row, "known", where)  # raises
+    return tuple.__new__(RatedPair, (known, computed))
 
 
 def validation_pairs(text: str, where: str, estimate_diagram=None) -> list[RatedPair]:

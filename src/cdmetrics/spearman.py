@@ -14,8 +14,8 @@ start.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from enum import Enum
-from itertools import groupby
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
@@ -51,15 +51,15 @@ class ValidationReport(NamedTuple):
 
 def ranks_with_ties(values: Sequence[float]) -> list[float]:
     """Fractional ranks: 1 for the smallest, ties given the mean of the ranks
-    they span; they sum to n(n+1)/2, and ranks_with_ties([]) is []."""
-    ranks, below = [0.0] * len(values), 0  # below: values ranked before this run of ties
-    for _, tied in groupby(sorted(range(len(values)), key=values.__getitem__), values.__getitem__):
-        tied = list(tied)
-        average = below + (len(tied) + 1) / 2
-        for i in tied:
-            ranks[i] = average
-        below += len(tied)
-    return ranks
+    they span; they sum to n(n+1)/2, and ranks_with_ties([]) is [].  By counts: each
+    distinct value, in order, gets below + (count + 1) / 2, below counting the values
+    under it; equal values (1 and 1.0, 0.0 and -0.0) are one entry, with one rank."""
+    counts, rank, below = Counter(values), {}, 0
+    for value in sorted(counts):
+        count = counts[value]
+        rank[value] = below + (count + 1) / 2
+        below += count
+    return list(map(rank.__getitem__, values))
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cdmetrics import corpus as corpus_module
@@ -39,7 +39,8 @@ def corpora(draw, required, optional, extra_cells=()):
     """(column names, delimited text) with the required columns in any order,
     and any of: padded, quoted or non-numeric cells, short and long rows,
     blank lines, CRLF and a field too large to read.  Two corpora in three
-    quote only the cells that need it, and half have no cell only float() reads."""
+    quote only the cells that need it, half have no cell only float() reads,
+    and half have no padding."""
     names = required + draw(st.lists(st.sampled_from(optional), unique=True))
     names = draw(st.permutations(names))
     delimiter = draw(st.sampled_from([",", ";", "\t"]))
@@ -52,6 +53,8 @@ def corpora(draw, required, optional, extra_cells=()):
     # Whitespace that str.strip takes and csv keeps: vertical tab, form feed, an
     # information separator, NEL, en quad and no-break space.
     inner_pad = pad | st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", "\u2000", "\xa0"])
+    if not draw(st.booleans()):
+        pad = inner_pad = st.just("")
 
     def render(cell):
         cell = draw(inner_pad) + cell + draw(inner_pad)
@@ -122,6 +125,9 @@ def test_fit_corpus_reader_matches_the_by_column_oracle(tmp_path_factory, corpus
 @given(validation_corpora)
 def test_validation_reader_matches_the_by_column_oracle(corpus):
     _, text = corpus
+    # Whether the reader may take the cells as they are: see parse_validation_rows.
+    plain = text.isascii() and not re.search('[" \t\r\x0b\x0c\x1c-\x1f]', text)
+    event("plain corpus" if plain else "corpus with padding, a quote or non-ASCII text")
     got = _outcome(parse_validation_rows, text, "v.csv")
     want = _outcome(validation_rows_by_column, text, "v.csv")
     if isinstance(got, list) and isinstance(want, list):
@@ -263,6 +269,8 @@ def test_fit_corpus_errors_and_lines(tmp_path, text, message):
     ('id,known,computed\n"x\ny",1,2\nb,2,\n', "v.csv:4: need a 'computed' or 'diagram' value"),
     ('id,known,computed\na,1,2\n"x\r\n\r\ny",1,2,3\n', "v.csv:5: more fields than the header"),
     ('id,known,computed\n"x\ny",1,2\n<big>,1,2\n', "v.csv:4: field larger"),
+    # A plain corpus, whose cells are taken as they are, with a short row.
+    ("id,known,computed\na,1,2\nb,3\n", "v.csv:3: need a 'computed' or 'diagram' value"),
 ])
 def test_validation_lines_found_on_failure(text, message):
     text = text.replace("<big>", TOO_LARGE)
@@ -281,6 +289,50 @@ def test_short_validation_row_is_padded_in_header_order():
     assert rows == validation_rows_by_column("computed,id,known,note\n1.5,a\n2, b ,3,x\n", "v.csv")
 
 
+# Cells are taken as csv gives them only where the text leaves none to strip.
+# A quoted id that ends in a line break, cells that end in each ASCII character
+# str.strip takes or in non-ASCII padding, and a plain corpus with a short row
+# are read as before, and as the by-column reader reads them.
+ROW = [("id", "a"), ("known", "1"), ("computed", "2")]
+
+
+@pytest.mark.parametrize("text, want", [
+    ('id,known,computed\n"x\n",1,2\n', [[("id", "x"), ("known", "1"), ("computed", "2")]]),
+    ('id,known,computed\n"a\r",1,2\n', [ROW]),
+    *[(f"id,known,computed\na{pad},1{pad},2{pad}\n", [ROW])
+      for pad in " \t\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003"],
+    ("id,known,diagram,computed\na,1,d.cd,2\nb,3,e.cd\n", [
+        [("id", "a"), ("known", "1"), ("diagram", "d.cd"), ("computed", "2")],
+        [("id", "b"), ("known", "3"), ("diagram", "e.cd"), ("computed", None)]]),
+])
+def test_cells_are_stripped_wherever_a_cell_could_need_it(text, want):
+    got = [list(row.items()) for row in parse_validation_rows(text, "v.csv")]
+    assert got == [list(row.items()) for row in validation_rows_by_column(text, "v.csv")]
+    assert got == want
+
+
+# A corpus that is plain but for a late cell numpy's reader refuses is declined
+# before that reader parses it, and read by the exact reader.
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "1#2", "\x00"])
+def test_a_late_cell_numpy_refuses_is_declined_before_parsing(tmp_path, monkeypatch, cell):
+    lines = ["NA,rating", *(f"{i % 7},{i % 5 + 0.5}" for i in range(10_000))]
+    lines[-1] = f"{cell},3"
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "fit.csv"
+    path.write_text(text, encoding="utf-8")
+    want = _outcome(rating_corpus_by_column, text, str(path))
+
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("parsed by np.loadtxt")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    assert corpus_module._plain_table(text, str(path)) is None
+    got = _outcome(load_rating_corpus, path)
+    if isinstance(want, list):
+        got, want = _bits(_by_row(got)), _bits(want)
+    assert got == want
+
+
 # strip() takes the information separators \x1c-\x1f that float() does not skip:
 # such a cell is read as its stripped number, as the by-column reader reads it.
 @pytest.mark.parametrize("cell", ["1\x1f", "\x1c 2", "3\x1e\t", "4 \x1d"])
@@ -297,7 +349,7 @@ def test_separator_padding_is_stripped_before_conversion(tmp_path, cell):
 # columns plus a `rating` column, saved with CRLF line ends as a spreadsheet
 # saves it.  Such a corpus is read by numpy's text reader alone; a quoted header
 # name sends its twin to the exact reader, with the same values.
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error", "default:mypy_extensions.TypedDict:DeprecationWarning")
 def test_a_corpus_of_metrics_output_is_read_without_the_row_walk(tmp_path, capsys, monkeypatch):
     paths = []
     for i in range(6):
@@ -330,7 +382,7 @@ def test_a_corpus_of_metrics_output_is_read_without_the_row_walk(tmp_path, capsy
 
 # A body with no rows is left to the exact reader, so numpy's "input contained
 # no data" warning never shows: header only, blank lines, and whitespace lines.
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error", "default:mypy_extensions.TypedDict:DeprecationWarning")
 @pytest.mark.parametrize("text, message", [
     ("NA,rating", None),
     ("NA,rating\n", None),

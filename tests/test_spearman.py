@@ -6,7 +6,7 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 from scipy.stats import t as student_t
@@ -49,7 +49,12 @@ def test_ranks_empty_input():
 tie_heavy_values = st.one_of(st.integers(0, 3), st.sampled_from([-0.0, 0.0, 1.5]), finite_floats)
 
 
+# The examples: equal values of two types, the int 1 and the float 1.0, or of two
+# signs, 0.0 and -0.0, are one tie, in any order.
 @given(st.lists(tie_heavy_values, max_size=60))
+@example([1, 1.0, 0.0, -0.0, 2, 1])
+@example([1.0, -0.0, 1, 0.0, 1.0, 0.5, -0.0])
+@example([-0.0, 1, 0.0, 1.0])
 def test_ranks_match_scipy_average_ranks(values):
     assert ranks_with_ties(values) == rankdata(values, method="average").tolist()
 
