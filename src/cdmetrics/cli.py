@@ -81,6 +81,9 @@ def _build_parser() -> _Parser:
         "--quiet", action="store_true", help="suppress report output"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    spearman_args = argparse.ArgumentParser(add_help=False)  # validate's and reproduce's
+    spearman_args.add_argument("--mode", choices=[m.value for m in DifferenceMode], default="rank")
+    spearman_args.add_argument("--alpha", type=_alpha, default=0.05)
 
     p_metrics = sub.add_parser("metrics", help="compute the 11 design metrics")
     p_metrics.set_defaults(run=_cmd_metrics)
@@ -99,19 +102,15 @@ def _build_parser() -> _Parser:
         help="comma-separated metric names, each named once",
     )
 
-    p_val = sub.add_parser("validate", help="Spearman validation of a corpus")
+    p_val = sub.add_parser("validate", parents=[spearman_args],
+                           help="Spearman validation of a corpus")
     p_val.set_defaults(run=_cmd_validate)
     p_val.add_argument("corpus", metavar="CORPUS")
-    p_val.add_argument("--mode", choices=("rank", "value"), default="rank")
-    p_val.add_argument("--alpha", type=_alpha, default=0.05)
     p_val.add_argument("--model", metavar="PATH", help="model file (JSON)")
 
-    p_rep = sub.add_parser(
-        "reproduce", help="re-run the published 28-diagram validation"
-    )
+    p_rep = sub.add_parser("reproduce", parents=[spearman_args],
+                           help="re-run the published 28-diagram validation")
     p_rep.set_defaults(run=_cmd_reproduce)
-    p_rep.add_argument("--mode", choices=("rank", "value"), default="rank")
-    p_rep.add_argument("--alpha", type=_alpha, default=0.05)
     p_rep.add_argument("--tolerance", type=_tolerance, default=0.002)
 
     return parser

@@ -25,13 +25,15 @@ def _delimiter(header_line: str) -> str:
     return next((d for d in ",;" if d in header_line), "\t")
 
 
-def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str]], Callable[[int], int]]:
-    """Header names, the records as csv gives them, and line_of(i), the line record i ends on.
+def _read_rows(text: str, where: str) -> tuple[list[str], list[dict], Callable[[int], int]]:
+    """Header names, the records as dicts by name, and line_of(i), the line record i ends on.
 
     The delimiter is the header line's (_delimiter); quoting is Excel's.  Spaces
-    and tabs after a delimiter and blank lines are skipped and names stripped.
-    Records come back raw, neither stripped nor padded, and none longer than the
-    header; a line is found only on failure.
+    and tabs after a delimiter and blank lines are skipped and names stripped.  A
+    record longer than the header is an error; a short one's missing cells are None.
+    Cells are stripped unless the text is ASCII and holds no `"` and no character
+    str.strip takes but a line break, which csv ends an unquoted cell at.  A line
+    is found only on failure.
     """
     delimiter = _delimiter(text.partition("\n")[0])
     if delimiter != "\t" and "\t" in text:  # skipinitialspace skips spaces, not tabs
@@ -65,7 +67,11 @@ def _read_rows(text: str, where: str) -> tuple[list[str], list[list[str]], Calla
         raise CorpusError(f"{where}:{line_of(index)}: more fields than the header")
     if failure:
         raise failure
-    return names, records, line_of
+    strip = not text.isascii() or any(c in text for c in '" \t\x0b\x0c\x1c\x1d\x1e\x1f')
+    rows = [dict(zip(names, map(str.strip, fields) if strip else fields)) for fields in records]
+    if records and min(map(len, records)) < width:
+        rows = [dict.fromkeys(names) | row for row in rows]
+    return names, rows, line_of
 
 
 def _number(row: dict, column: str, where: str) -> float:
@@ -132,7 +138,7 @@ def _plain_table(text: str, where: str):
 def _exact_table(text: str, where: str):
     """(names, table) of any fit corpus, by _read_rows and float(); the first fault
     raises a CorpusError that names it."""
-    names, records, _ = _read_rows(text, where)
+    names, rows, _ = _read_rows(text, where)
     if "rating" not in names:
         raise CorpusError(f"{where}: missing 'rating' column")
     at = names.index("rating")
@@ -141,33 +147,25 @@ def _exact_table(text: str, where: str):
     if unknown:
         raise CorpusError(f"{where}: unknown metric name(s): {sorted(unknown)}")
     import numpy as np  # here, as in regression.fit, so that `validate` does not load it
-    try:  # float()'s reading of every raw cell at once; float() skips padding spaces itself
-        table = np.array(records, dtype=float).reshape(len(records), len(names))
-    except ValueError:  # an empty or non-numeric cell, or a short row
+    try:  # float()'s reading of every cell at once; a None cell reads as NaN
+        table = np.array([list(row.values()) for row in rows], dtype=float)
+    except ValueError:  # an empty or non-numeric cell
         table = None
     if table is None or not np.isfinite(table).all():
-        stripped = [list(map(str.strip, fields)) for fields in records]
-        for fields in stripped:  # by row; a short row's dict lacks its missing cells
-            row = dict(zip(names, fields))
+        for row in rows:  # the first fault by row, then predictors in header order, then rating
             for column in (*predictors, "rating"):
                 _number(row, column, where)
-        table = np.array(stripped, dtype=float)  # strip() takes \x1c-\x1f, float() does not
-    return names, table
+    return names, table.reshape(len(rows), len(names))
 
 
 def parse_validation_rows(text: str, where: str) -> list[dict[str, str]]:
-    """Validation corpus rows: id plus known, and a computed or a diagram value.  Cells
-    are stripped, but taken as they are where the text is ASCII and holds no character
-    str.strip takes but the line break, nor a quote: a quoted cell can end in a break."""
-    names, records, line_of = _read_rows(text, where)
+    """Validation corpus rows, as _read_rows gives them: id plus known, and a
+    computed or a diagram value."""
+    names, rows, line_of = _read_rows(text, where)
     if "known" not in names:
         raise CorpusError(f"{where}: missing 'known' column")
     if "computed" not in names and "diagram" not in names:
         raise CorpusError(f"{where}: need a 'computed' or 'diagram' column")
-    strip = not text.isascii() or any(c in text for c in '" \t\r\x0b\x0c\x1c\x1d\x1e\x1f')
-    rows = [dict(zip(names, map(str.strip, fields) if strip else fields)) for fields in records]
-    if records and min(map(len, records)) < len(names):  # a short row's missing cells are None
-        rows = [dict.fromkeys(names) | row for row in rows]
     if "computed" not in names or not all(map(itemgetter("computed"), rows)):
         for i, row in enumerate(rows):  # the first row without a value names its line
             if not (row.get("computed") or row.get("diagram")):

@@ -238,6 +238,24 @@ def test_validate_reads_a_diagram_column_json_extension_in_any_case(tmp_path, ca
     assert reports[1]["n"] == 2
 
 
+# With both value columns, a row's computed value is taken and its diagram never
+# opened; a row with an empty computed cell is estimated from its stripped diagram
+# name, as if that estimate were written in.
+@pytest.mark.parametrize("mode", ["rank", "value"])
+def test_validate_a_corpus_with_both_value_columns(tmp_path, capsys, mode):
+    big = _write(tmp_path, "big.cd", BIG)
+    assert main(["--format", "json", "estimate", big]) == 0
+    [record] = json.loads(capsys.readouterr().out)
+    reports = []
+    for big_row in ['big,4,, "  big.cd\t"', f"big,4,{record['estimate']!r},"]:
+        path = _write(tmp_path, "v.csv", "id,known,computed,diagram\n"
+                      f"a,1,2.5,missing.cd\n{big_row}\nc,2,1.5,\n")
+        assert main(["--format", "json", "validate", path, "--mode", mode]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["n"] == 3
+
+
 def test_validate_malformed_corpus_exit_4(tmp_path, capsys):
     path = _write(tmp_path, "v.csv", "id,nope\nx,1\n")
     assert main(["validate", path]) == 4

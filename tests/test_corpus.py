@@ -125,8 +125,8 @@ def test_fit_corpus_reader_matches_the_by_column_oracle(tmp_path_factory, corpus
 @given(validation_corpora)
 def test_validation_reader_matches_the_by_column_oracle(corpus):
     _, text = corpus
-    # Whether the reader may take the cells as they are: see parse_validation_rows.
-    plain = text.isascii() and not re.search('[" \t\r\x0b\x0c\x1c-\x1f]', text)
+    # Whether the reader may take the cells as they are: see _read_rows.
+    plain = text.isascii() and not re.search('[" \t\x0b\x0c\x1c-\x1f]', text)
     event("plain corpus" if plain else "corpus with padding, a quote or non-ASCII text")
     got = _outcome(parse_validation_rows, text, "v.csv")
     want = _outcome(validation_rows_by_column, text, "v.csv")
@@ -291,14 +291,16 @@ def test_short_validation_row_is_padded_in_header_order():
 
 # Cells are taken as csv gives them only where the text leaves none to strip.
 # A quoted id that ends in a line break, cells that end in each ASCII character
-# str.strip takes or in non-ASCII padding, and a plain corpus with a short row
-# are read as before, and as the by-column reader reads them.
+# str.strip takes or in non-ASCII padding, a plain corpus with CRLF line ends
+# (csv ends an unquoted cell at the \r) and a plain corpus with a short row are
+# read as before, and as the by-column reader reads them.
 ROW = [("id", "a"), ("known", "1"), ("computed", "2")]
 
 
 @pytest.mark.parametrize("text, want", [
     ('id,known,computed\n"x\n",1,2\n', [[("id", "x"), ("known", "1"), ("computed", "2")]]),
     ('id,known,computed\n"a\r",1,2\n', [ROW]),
+    ("id,known,computed\r\na,1,2\r\n", [ROW]),
     *[(f"id,known,computed\na{pad},1{pad},2{pad}\n", [ROW])
       for pad in " \t\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003"],
     ("id,known,diagram,computed\na,1,d.cd,2\nb,3,e.cd\n", [
