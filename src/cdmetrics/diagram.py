@@ -45,6 +45,13 @@ class Relationship(NamedTuple):
     target: str
 
 
+class Hierarchies(NamedTuple):
+    """A hierarchy kind's class depths, and how many hierarchies its edges form."""
+
+    depths: dict[str, int]
+    total: int
+
+
 class ClassDiagram:
     """A named set of classes plus relationships, in declaration order.
 
@@ -52,9 +59,9 @@ class ClassDiagram:
     per-kind relationship sequences.  The interleaving of different kinds in
     the relationship list is presentation order only, so canonical
     serialization (which groups by kind) round-trips to an equal diagram.
-    A plain class whose attributes must not be reassigned: the per-kind
-    grouping and the hierarchy depths are worked out on first use and
-    cached on the instance.  A diagram is not hashable.
+    A plain class whose attributes must not be reassigned: `groups` and
+    `hierarchies` are worked out on first use and cached on the instance.
+    A diagram is not hashable.
     """
 
     def __init__(self, id: str = "unnamed", classes: tuple[ClassDecl, ...] = (),
@@ -68,57 +75,66 @@ class ClassDiagram:
                 f"relationships={self.relationships!r})")
 
     @cached_property
-    def _groups(self) -> dict[RelKind, tuple[Relationship, ...]]:
+    def groups(self) -> dict[RelKind, tuple[Relationship, ...]]:
         groups: dict[RelKind, list[Relationship]] = {kind: [] for kind in RelKind}
         for r in self.relationships:
             groups[r.kind].append(r)
         return {kind: tuple(rels) for kind, rels in groups.items()}
 
-    def by_kind(self, kind: RelKind) -> tuple[Relationship, ...]:
-        return self._groups[kind]
-
     @cached_property
-    def depths(self) -> dict[RelKind, dict[str, int]]:
-        """Longest outgoing path length, in edges, of every node of each
-        hierarchy kind: generalization, then aggregation.
+    def hierarchies(self) -> dict[RelKind, Hierarchies]:
+        """Each hierarchy kind's node depths and hierarchy count: generalization,
+        then aggregation.
 
-        One graphlib pass per kind orders each node after its successors, so
-        a node's depth is 1 + the max depth of its successors (0 for a sink).
+        One walk over a kind's edges builds its successor map and a union-find
+        whose roots are its hierarchies (weakly connected components with an
+        edge).  One graphlib pass then orders each node after its successors,
+        so a node's depth is 1 + the max depth of its successors (0 for a sink).
         Raises DuplicateHierarchyEdge, or GeneralizationCycle/AggregationCycle
         for a directed cycle, on the first violation found.  The cached dict
         is shared by every reader and must not be mutated.
         """
-        depths: dict[RelKind, dict[str, int]] = {}
+        hierarchies: dict[RelKind, Hierarchies] = {}
         for kind, cycle_error in (
             (RelKind.GENERALIZATION, GeneralizationCycle),
             (RelKind.AGGREGATION, AggregationCycle),
         ):
             successors: dict[str, dict[str, None]] = {}
-            for _, source, target in self._groups[kind]:
+            parent: dict[str, str] = {}
+            joins = 0
+            for _, source, target in self.groups[kind]:
                 targets = successors.setdefault(source, {})
                 if target in targets:
                     raise DuplicateHierarchyEdge(kind, (source, target))
                 targets[target] = None
-            level = depths[kind] = {}
+                a, b = parent.setdefault(source, source), parent.setdefault(target, target)
+                while a != parent[a]:
+                    parent[a] = a = parent[parent[a]]  # parent[a] is set before a
+                while b != parent[b]:
+                    parent[b] = b = parent[parent[b]]
+                parent[a] = b
+                joins += a != b
+            depths: dict[str, int] = {}
             try:
                 for node in TopologicalSorter(successors).static_order():
                     targets = successors.get(node)
-                    level[node] = 1 + max(map(level.__getitem__, targets)) if targets else 0
+                    depths[node] = 1 + max(map(depths.__getitem__, targets)) if targets else 0
             except CycleError as exc:
                 # args[1] walks the cycle against the edges and repeats its
                 # first node: [a, c, b, a] for a -> b -> c -> a.
                 raise cycle_error(exc.args[1][:0:-1]) from None
-        return depths
+            hierarchies[kind] = Hierarchies(depths, len(parent) - joins)
+        return hierarchies
 
     def __eq__(self, other):
         if not isinstance(other, ClassDiagram):
             return NotImplemented
-        return (self.id, self.classes, self._groups) == (other.id, other.classes, other._groups)
+        return (self.id, self.classes, self.groups) == (other.id, other.classes, other.groups)
 
 
 def validate(diagram: ClassDiagram) -> ClassDiagram:
     """Check the diagram's structure and return the same diagram, with its
-    hierarchy analysis (`depths`) cached on it.
+    hierarchy analysis (`hierarchies`: depths and counts) cached on it.
 
     Checks that class names are unique, that every relationship endpoint is
     a declared class, and that the generalization and aggregation subgraphs
@@ -139,5 +155,5 @@ def validate(diagram: ClassDiagram) -> ClassDiagram:
         if source not in seen or target not in seen:
             raise UnknownEndpoint(kind, source if source not in seen else target)
 
-    diagram.depths  # raises on a duplicate hierarchy edge or a cycle
+    diagram.hierarchies  # raises on a duplicate hierarchy edge or a cycle
     return diagram

@@ -173,7 +173,7 @@ def serialize(diagram: ClassDiagram) -> str:
         out.extend(f"  method {m}" for m in cls.methods)
         out.append("}")
     for keyword, (arrow, kind) in _ARROWS.items():
-        for rel in diagram.by_kind(kind):
+        for rel in diagram.groups[kind]:
             out.append(f"{keyword} {rel.source} {arrow} {rel.target}")
     return "\n".join(out) + "\n"
 

@@ -4,7 +4,7 @@ All metrics are non-negative integer counts over a validated diagram:
 size counts (NC, NA, NM), per-kind relationship counts (NAssoc, NAgg,
 NDep, NGen), hierarchy counts (NAggH, NGenH), and the two longest-path
 depths (MaxHAgg, MaxDIT).  The depth of each class is not a metric here:
-read it from ClassDiagram.depths.
+read it from ClassDiagram.hierarchies.
 """
 
 from __future__ import annotations
@@ -36,37 +36,20 @@ class MetricsVector(NamedTuple):
 METRIC_NAMES = MetricsVector._fields
 
 
-def count_hierarchies(diagram: ClassDiagram, kind: RelKind) -> int:
-    """Weakly connected components with at least one edge of the kind: by union-find,
-    the classes on those edges less the unions that joined two components."""
-    parent: dict[str, str] = {}
-    unions = 0
-    for _, a, b in diagram.by_kind(kind):
-        a, b = parent.setdefault(a, a), parent.setdefault(b, b)
-        while a != parent[a]:
-            parent[a] = a = parent[parent[a]]  # parent[a] is set before a
-        while b != parent[b]:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            unions += 1
-    return len(parent) - unions
-
-
 def compute_metrics(diagram: ClassDiagram) -> MetricsVector:
     """All eleven metrics; a hierarchy fault raises the error validate() would."""
-    gen, agg = RelKind.GENERALIZATION, RelKind.AGGREGATION
-    depths = diagram.depths
+    groups, hierarchies = diagram.groups, diagram.hierarchies
+    gen, agg = hierarchies[RelKind.GENERALIZATION], hierarchies[RelKind.AGGREGATION]
     return MetricsVector(
         NC=len(diagram.classes),
         NA=sum(len(c.attributes) for c in diagram.classes),
         NM=sum(len(c.methods) for c in diagram.classes),
-        NAssoc=len(diagram.by_kind(RelKind.ASSOCIATION)),
-        NAgg=len(diagram.by_kind(agg)),
-        NDep=len(diagram.by_kind(RelKind.DEPENDENCY)),
-        NGen=len(diagram.by_kind(gen)),
-        NAggH=count_hierarchies(diagram, agg),
-        NGenH=count_hierarchies(diagram, gen),
-        MaxHAgg=max(depths[agg].values(), default=0),
-        MaxDIT=max(depths[gen].values(), default=0),
+        NAssoc=len(groups[RelKind.ASSOCIATION]),
+        NAgg=len(groups[RelKind.AGGREGATION]),
+        NDep=len(groups[RelKind.DEPENDENCY]),
+        NGen=len(groups[RelKind.GENERALIZATION]),
+        NAggH=agg.total,
+        NGenH=gen.total,
+        MaxHAgg=max(agg.depths.values(), default=0),
+        MaxDIT=max(gen.depths.values(), default=0),
     )

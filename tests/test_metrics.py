@@ -14,11 +14,10 @@ from cdmetrics.metrics import (
     METRIC_NAMES,
     MetricsVector,
     compute_metrics,
-    count_hierarchies,
 )
 
 from .conftest import valid_diagrams
-from .oracles import metrics_brute, random_diagram
+from .oracles import hierarchy_count_brute, metrics_brute, random_diagram
 
 
 def _diagram(src):
@@ -54,15 +53,15 @@ def test_mixed_relationships():
 def test_diamond_inheritance():
     vec = compute_metrics(DIAMOND)
     assert (vec.NGen, vec.NGenH, vec.MaxDIT) == (4, 1, 2)
-    assert DIAMOND.depths[GEN].get("D", 0) == 2
-    assert DIAMOND.depths[GEN].get("B", 0) == 1
-    assert DIAMOND.depths[GEN].get("A", 0) == 0
+    assert DIAMOND.hierarchies[GEN].depths.get("D", 0) == 2
+    assert DIAMOND.hierarchies[GEN].depths.get("B", 0) == 1
+    assert DIAMOND.hierarchies[GEN].depths.get("A", 0) == 0
 
 
 def test_dit_chain():
     d = _diagram("class A {}\nclass B {}\nclass C {}\ngen C => B\ngen B => A\n")
-    assert d.depths[GEN].get("C", 0) == 2
-    assert d.depths[GEN].get("A", 0) == 0
+    assert d.hierarchies[GEN].depths.get("C", 0) == 2
+    assert d.hierarchies[GEN].depths.get("A", 0) == 0
 
 
 def test_hagg_paths():
@@ -70,8 +69,8 @@ def test_hagg_paths():
         "class W {}\nclass P1 {}\nclass P2 {}\nclass Q {}\n"
         "agg W o- P1\nagg P1 o- Q\nagg W o- P2\n"
     )
-    assert d.depths[AGG].get("W", 0) == 2
-    assert d.depths[AGG].get("P2", 0) == 0
+    assert d.hierarchies[AGG].depths.get("W", 0) == 2
+    assert d.hierarchies[AGG].depths.get("P2", 0) == 0
 
 
 def test_hierarchy_counting():
@@ -79,9 +78,9 @@ def test_hierarchy_counting():
         "class A {}\nclass B {}\nclass C {}\nclass Y {}\nclass Z {}\n"
         "gen C => B\ngen B => A\ngen Z => Y\n"
     )
-    assert count_hierarchies(d, RelKind.GENERALIZATION) == 2
-    assert count_hierarchies(d, RelKind.AGGREGATION) == 0
-    assert count_hierarchies(DIAMOND, RelKind.GENERALIZATION) == 1
+    vec = compute_metrics(d)
+    assert (vec.NGenH, vec.NAggH) == (2, 0)
+    assert compute_metrics(DIAMOND).NGenH == 1
 
 
 @given(valid_diagrams())
@@ -161,21 +160,47 @@ def _chain(kind, n, reverse):
     return validate(ClassDiagram("chain", tuple(ClassDecl(c) for c in names), tuple(edges)))
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["in_order", "reversed"])
-@pytest.mark.parametrize(
-    "kind, metric",
-    [(GEN, "MaxDIT"), (AGG, "MaxHAgg")],
+_KINDS = pytest.mark.parametrize(
+    "kind, depth_metric, count_metric",
+    [(GEN, "MaxDIT", "NGenH"), (AGG, "MaxHAgg", "NAggH")],
     ids=["generalization", "aggregation"],
 )
-def test_deep_chain_has_no_recursion_limit(kind, metric, reverse):
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in_order", "reversed"])
+@_KINDS
+def test_deep_chain_has_no_recursion_limit(kind, depth_metric, count_metric, reverse):
     d = _chain(kind, 10**4, reverse)
-    assert getattr(compute_metrics(d), metric) == 9999
-    assert d.depths[kind].get("C0", 0) == 9999
-    assert d.depths[kind].get("C9999", 0) == 0
+    vec = compute_metrics(d)
+    assert (getattr(vec, depth_metric), getattr(vec, count_metric)) == (9999, 1)
+    assert d.hierarchies[kind].depths.get("C0", 0) == 9999
+    assert d.hierarchies[kind].depths.get("C9999", 0) == 0
+
+
+
+@_KINDS
+def test_two_deep_chains_are_one_hierarchy_after_their_joining_edge(kind, depth_metric,
+                                                                   count_metric):
+    # C0 -> ... -> C4999 and C5000 -> ... -> C9999, then C4999 -> C5000: the last
+    # edge makes the union-find walk the whole second chain to its root.
+    half = 5000
+    names = [f"C{i}" for i in range(2 * half)]
+    pairs = [(names[i], names[i + 1]) for i in range(2 * half - 1) if i != half - 1]
+    pairs.append((names[half - 1], names[half]))
+    classes = tuple(ClassDecl(c) for c in names)
+    for declared, hierarchies, depth in ((pairs[:-1], 2, half - 1), (pairs, 1, 2 * half - 1)):
+        d = validate(ClassDiagram("chains", classes, tuple(
+            Relationship(kind, source, target) for source, target in declared
+        )))
+        vec = compute_metrics(d)
+        assert getattr(vec, count_metric) == hierarchy_count_brute(declared) == hierarchies
+        assert getattr(vec, depth_metric) == depth
 
 
 @pytest.mark.parametrize("measure", [
-    compute_metrics, lambda d: d.depths[GEN].get("A", 0), lambda d: d.depths[AGG].get("A", 0),
+    compute_metrics,
+    lambda d: d.hierarchies[GEN].depths.get("A", 0),
+    lambda d: d.hierarchies[AGG].depths.get("A", 0),
 ], ids=["compute_metrics", "dit", "hagg"])
 @pytest.mark.parametrize("kind, cycle_error", [
     (RelKind.GENERALIZATION, GeneralizationCycle),
@@ -192,18 +217,29 @@ def test_unvalidated_hierarchy_faults_raise_typed_errors(measure, kind, cycle_er
 
 
 def test_one_graphlib_pass_per_hierarchy_kind(monkeypatch):
-    built = []
+    built, iterated = [], []
 
     class CountingSorter(cdmetrics.diagram.TopologicalSorter):
         def __init__(self, *args, **kwargs):
             built.append(self)
             super().__init__(*args, **kwargs)
 
+    class CountingEdges(tuple):
+        def __iter__(self):
+            iterated.append(self)
+            return super().__iter__()
+
     monkeypatch.setattr(cdmetrics.diagram, "TopologicalSorter", CountingSorter)
     d = parse(
         "class A {}\nclass B {}\nclass C {}\n"
         "gen C => B\ngen B => A\nagg A o- C\nagg B o- C\n"
     )
-    assert compute_metrics(validate(d)).MaxDIT == 2
-    assert (d.depths[GEN].get("C", 0), d.depths[AGG].get("A", 0)) == (2, 1)
+    validate(d)
+    # Validation walked each hierarchy kind's edges: the metrics only take their len.
+    for kind in (GEN, AGG):
+        d.groups[kind] = CountingEdges(d.groups[kind])
+    vec = compute_metrics(d)
+    assert iterated == []
+    assert (vec.NGen, vec.NGenH, vec.MaxDIT, vec.NAgg, vec.NAggH, vec.MaxHAgg) == (2, 1, 2, 2, 1, 1)
+    assert (d.hierarchies[GEN].depths.get("C", 0), d.hierarchies[AGG].depths.get("A", 0)) == (2, 1)
     assert len(built) == 2
