@@ -5,6 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -88,8 +89,9 @@ class ClassDiagram:
 
         One walk over a kind's edges builds its successor map and a union-find
         whose roots are its hierarchies (weakly connected components with an
-        edge).  One graphlib pass then orders each node after its successors,
-        so a node's depth is 1 + the max depth of its successors (0 for a sink).
+        edge).  One graphlib pass then hands out the nodes in ready batches, a
+        node becoming ready once all its successors are done: the sinks first,
+        so a node's depth (its longest outgoing path) is its batch's index.
         Raises DuplicateHierarchyEdge, or GeneralizationCycle/AggregationCycle
         for a directed cycle, on the first violation found.  The cached dict
         is shared by every reader and must not be mutated.
@@ -114,15 +116,17 @@ class ClassDiagram:
                     parent[b] = b = parent[parent[b]]
                 parent[a] = b
                 joins += a != b
-            depths: dict[str, int] = {}
+            order = TopologicalSorter(successors)
             try:
-                for node in TopologicalSorter(successors).static_order():
-                    targets = successors.get(node)
-                    depths[node] = 1 + max(map(depths.__getitem__, targets)) if targets else 0
+                order.prepare()
             except CycleError as exc:
                 # args[1] walks the cycle against the edges and repeats its
                 # first node: [a, c, b, a] for a -> b -> c -> a.
                 raise cycle_error(exc.args[1][:0:-1]) from None
+            depths: dict[str, int] = {}
+            for depth, layer in enumerate(iter(order.get_ready, ())):
+                depths.update(dict.fromkeys(layer, depth))
+                order.done(*layer)
             hierarchies[kind] = Hierarchies(depths, len(parent) - joins)
         return hierarchies
 
@@ -138,22 +142,29 @@ def validate(diagram: ClassDiagram) -> ClassDiagram:
 
     Checks that class names are unique, that every relationship endpoint is
     a declared class, and that the generalization and aggregation subgraphs
-    have no repeated edge and no directed cycle.  Raises DuplicateClass,
+    have no repeated edge and no directed cycle.  The names and endpoints are
+    checked as sets first; only when one of those checks fails does a walk in
+    declaration order name the fault.  Raises DuplicateClass,
     UnknownEndpoint, DuplicateHierarchyEdge, GeneralizationCycle, or
     AggregationCycle on the first violation found.  Member names are not
     checked here: the readers (`dsl.parse`, `dsl.from_dict`) reject a class
     that names an attribute or method twice.  Nothing is reordered, and
     validating twice is a no-op.
     """
-    seen: set[str] = set()
-    for cls in diagram.classes:
-        if cls.name in seen:
-            raise DuplicateClass(cls.name)
-        seen.add(cls.name)
+    classes, relationships = diagram.classes, diagram.relationships
+    seen = set(map(itemgetter(0), classes))
+    if len(seen) < len(classes):
+        seen = set()
+        for cls in classes:
+            if cls.name in seen:
+                raise DuplicateClass(cls.name)
+            seen.add(cls.name)
 
-    for kind, source, target in diagram.relationships:
-        if source not in seen or target not in seen:
-            raise UnknownEndpoint(kind, source if source not in seen else target)
+    if not (seen.issuperset(map(itemgetter(1), relationships))
+            and seen.issuperset(map(itemgetter(2), relationships))):
+        for kind, source, target in relationships:
+            if source not in seen or target not in seen:
+                raise UnknownEndpoint(kind, source if source not in seen else target)
 
     diagram.hierarchies  # raises on a duplicate hierarchy edge or a cycle
     return diagram

@@ -82,12 +82,14 @@ def parse(source: str) -> ClassDiagram:
     # takes other breaks, such as a form feed or U+2028, as whitespace.
     if "\r" in source:
         source = source.replace("\r\n", "\n").replace("\r", "\n")
-    for number, raw in enumerate(source.split("\n"), start=1):
-        code = raw.split("#", 1)[0] if "#" in raw else raw
+    lines = source.split("\n")
+    if "#" in source:
+        lines = [line.split("#", 1)[0] for line in lines]
+    for number, code in enumerate(lines, start=1):
         tokens = code.split()
         if not tokens:
             continue
-        last = number, code
+        last = number
         head, n = tokens[0], len(tokens)
         start = 0  # the token a body entry begins at
         if name is None:
@@ -153,7 +155,8 @@ def parse(source: str) -> ClassDiagram:
         name = None
 
     if name is not None:
-        _fail(*last, len(last[1].split()), f"unterminated body of class {name!r}")
+        code = lines[last - 1]
+        _fail(last, code, len(code.split()), f"unterminated body of class {name!r}")
     return ClassDiagram(diagram_id or "unnamed", tuple(classes), tuple(relationships))
 
 

@@ -107,12 +107,20 @@ _ASSOC, _DEP, _GEN, _AGG = (RelKind.ASSOCIATION, RelKind.DEPENDENCY, RelKind.GEN
      "association relationship references undeclared class 'Z'"),
     (("A", "B"), [(_AGG, "A", "B"), (_AGG, "A", "B"), (_GEN, "B", "Z")],
      "generalization relationship references undeclared class 'Z'"),
+    (("A", "B", "B", "A"), [], "class 'B' declared more than once"),
+    (["A", "B", "B"], [(_ASSOC, "A", "Z")], "class 'B' declared more than once"),
+    (("A", "B"), [(_ASSOC, "A", "X"), (_DEP, "Y", "B")],
+     "association relationship references undeclared class 'X'"),
 ], ids=["duplicate_class_first", "first_bad_relationship", "both_ends_name_source",
-        "target", "endpoint_before_cycle", "endpoint_before_duplicate_edge"])
+        "target", "endpoint_before_cycle", "endpoint_before_duplicate_edge",
+        "first_repeated_class", "classes_as_a_list", "bad_target_before_later_bad_source"])
 def test_validate_error_order(classes, relationships, message):
     # Classes are checked first, then each relationship's source and target
-    # in declaration order, and only then the hierarchies.
-    d = ClassDiagram("d", _classes(*classes), tuple(
+    # in declaration order, and only then the hierarchies.  The names and
+    # endpoints are checked as sets first, so each case also pins that the
+    # walk after a failed set check names the first fault, not any fault.
+    decls = _classes(*classes)
+    d = ClassDiagram("d", list(decls) if isinstance(classes, list) else decls, tuple(
         Relationship(kind, src, dst) for kind, src, dst in relationships
     ))
     with pytest.raises((DuplicateClass, UnknownEndpoint)) as exc:

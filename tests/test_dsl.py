@@ -144,6 +144,8 @@ def test_duplicate_member_check_is_linear():
     ("class A {\n\tattr\t9x\n}\n", 2, 7, "illegal identifier '9x'"),
     ("class A {# note\n", 1, 10, "unterminated body of class 'A'"),
     ("class A {\n  attr x\n\n# trailing\n   \n", 2, 9, "unterminated body of class 'A'"),
+    ("class A {\r\n  attr x # note\r\n\r\n", 2, 9, "unterminated body of class 'A'"),
+    ("class A { # opens\n  attr x\n", 2, 9, "unterminated body of class 'A'"),
     # Lines of a common shape that fail one of its checks.
     ("class 9x {\n", 1, 7, "illegal identifier '9x' for class name"),
     ("class A {}\nclass B {}\ngen A -> B\n", 3, 7, "expected arrow '=>'"),

@@ -1,6 +1,6 @@
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import cdmetrics.diagram
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship, validate
@@ -17,7 +17,7 @@ from cdmetrics.metrics import (
 )
 
 from .conftest import valid_diagrams
-from .oracles import hierarchy_count_brute, metrics_brute, random_diagram
+from .oracles import hierarchy_count_brute, longest_path_brute, metrics_brute, random_diagram
 
 
 def _diagram(src):
@@ -71,6 +71,26 @@ def test_hagg_paths():
     )
     assert d.hierarchies[AGG].depths.get("W", 0) == 2
     assert d.hierarchies[AGG].depths.get("P2", 0) == 0
+
+
+# D's successors lie at different depths: B at 1 and C at 2 (C => E => A).
+UNEVEN_DIAMOND = ClassDiagram("d", tuple(ClassDecl(c) for c in "ABCDE"), tuple(
+    Relationship(GEN, source, target)
+    for source, target in (("D", "B"), ("B", "A"), ("D", "C"), ("C", "E"), ("E", "A"))
+))
+
+
+@given(valid_diagrams())
+@example(UNEVEN_DIAMOND)
+def test_every_depth_is_the_longest_outgoing_path(d):
+    # A node's depth is the last of its successors' ready batches plus one, not the first.
+    hierarchies = validate(d).hierarchies
+    for kind in (GEN, AGG):
+        edges = [(r.source, r.target) for r in d.groups[kind]]
+        depths = hierarchies[kind].depths
+        assert [depths.get(c.name, 0) for c in d.classes] == [
+            longest_path_brute(edges, c.name) for c in d.classes
+        ]
 
 
 def test_hierarchy_counting():
