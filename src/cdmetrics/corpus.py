@@ -28,14 +28,15 @@ def _delimiter(header_line: str) -> str:
 def _read_rows(text: str, where: str) -> tuple[list[str], list[dict], Callable[[int], int]]:
     """Header names, the records as dicts by name, and line_of(i), the line record i ends on.
 
-    The delimiter is the header line's (_delimiter); quoting is Excel's.  Spaces
-    and tabs after a delimiter and blank lines are skipped and names stripped.  A
-    record longer than the header is an error; a short one's missing cells are None.
+    The header is the first non-blank line, and the delimiter is its (_delimiter);
+    quoting is Excel's.  Spaces and tabs after a delimiter and blank lines, before
+    the header too, are skipped and names stripped.  A record longer than the
+    header is an error; a short one's missing cells are None.
     Cells are stripped unless the text is ASCII and holds no `"` and no character
     str.strip takes but a line break, which csv ends an unquoted cell at.  A line
     is found only on failure.
     """
-    delimiter = _delimiter(text.partition("\n")[0])
+    delimiter = _delimiter(text.lstrip("\r\n").partition("\n")[0])
     if delimiter != "\t" and "\t" in text:  # skipinitialspace skips spaces, not tabs
         # Padding tabs become spaces; a match ends with its field, so tabs in quotes stay.
         field = rf'([ \t]*)((?:"(?:[^"]|"")*(?:"|\Z))?[^{delimiter}\r\n]*)'
@@ -49,7 +50,7 @@ def _read_rows(text: str, where: str) -> tuple[list[str], list[dict], Callable[[
     reader = csv.reader(io.StringIO(text), delimiter=delimiter, skipinitialspace=True)
     records, failure = [], None
     try:
-        header = next(reader, None)
+        header = next(filter(None, reader), None)
         if not header:
             raise CorpusError(f"{where}: empty corpus")
         names = [name.strip() for name in header]

@@ -129,7 +129,8 @@ def read_rows_dictreader(text: str, where: str):
     """Header names, the records as dicts (stripped), and each record's line:
     the corpus reader as it was before it read rows as lists, with the
     delimiter the header line gives (a comma, else a semicolon, else a tab)."""
-    header_line = text.split("\n")[0]
+    # A rule added since: the header is the first non-blank line.
+    header_line = text.lstrip("\r\n").split("\n")[0]
     delimiter = "," if "," in header_line else ";" if ";" in header_line else "\t"
     # A rule added since: tab padding before a field is skipped as spaces are,
     # so a quote after it opens a quoted cell.
@@ -137,6 +138,7 @@ def read_rows_dictreader(text: str, where: str):
     reader = csv.DictReader(io.StringIO(text), delimiter=delimiter, skipinitialspace=True)
     rows, lines = [], []
     try:
+        reader.fieldnames = next(filter(None, reader.reader), None)
         if not reader.fieldnames:
             raise CorpusError(f"{where}: empty corpus")
         # The one rule added since: a name the header repeats is an error.

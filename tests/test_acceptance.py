@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
+import itertools
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,3 +160,65 @@ def test_criterion_7b_error_corpus():
         assert (exc.value.span.line, exc.value.span.column) == (line, column), source
     _ok(7, "1000 round-trips exact; all malformed fixtures give the "
            "expected line/column")
+
+
+# Table 2's printed estimates against the published model, in integer units of
+# 1e-6: every printed number, and half a unit in its last digit, is a multiple.
+MICRO = 10**6
+# Half a unit in the last printed digit of 1.33515, 0.129, 0.0463 and 0.3405.
+SLACK = (5, 500, 50, 50)
+NO_SLACK = (0, 0, 0, 0)
+
+
+def _reachable(estimate, weights, slack):
+    """How many non-negative integer triples (NAssoc, NA, MaxDIT) can give an
+    estimate within 500 of `estimate` (half a unit of its printed last digit),
+    the intercept and each weight off by at most its slack."""
+    (c0, ca, cn, cm), (h0, ha, hn, hm) = weights, slack
+    top, bottom = estimate + 500, estimate - 500
+    count = 0
+    # Every term is non-negative, so the estimate bounds NAssoc and MaxDIT, and
+    # for each pair of them the NA that fit form an interval.
+    for a in range((top - c0 + h0) // (ca - ha) + 1):
+        for m in range((top - c0 + h0 - (ca - ha) * a) // (cm - hm) + 1):
+            low = c0 - h0 + (ca - ha) * a + (cm - hm) * m
+            high = c0 + h0 + (ca + ha) * a + (cm + hm) * m
+            first = max(0, -((high - bottom) // (cn + hn)))  # ceil((bottom - high) / (cn + hn))
+            count += max(0, (top - low) // (cn - hn) - first + 1)
+    return count
+
+
+def _reachable_by_enumeration(estimate, weights, slack):
+    """_reachable by exact rationals over every triple the estimate bounds."""
+    w, h = [Fraction(c, MICRO) for c in weights], [Fraction(c, MICRO) for c in slack]
+    top, bottom = Fraction(estimate + 500, MICRO), Fraction(estimate - 500, MICRO)
+    bounds = [range(int((top - w[0] + h[0]) // (w[i] - h[i])) + 1) for i in (1, 2, 3)]
+    count = 0
+    for x in itertools.product(*bounds):
+        low = w[0] - h[0] + sum((w[i] - h[i]) * v for i, v in zip((1, 2, 3), x))
+        high = w[0] + h[0] + sum((w[i] + h[i]) * v for i, v in zip((1, 2, 3), x))
+        count += low <= top and high >= bottom
+    return count
+
+
+def test_criterion_8_table2_audit():
+    model = PUBLISHED_UNDERSTANDABILITY_MODEL
+    assert [name for name, _ in model.coefficients] == ["NAssoc", "NA", "MaxDIT"]
+    weights = [round(w * MICRO) for w in (model.intercept, *(w for _, w in model.coefficients))]
+    estimates = [round(pair.computed * MICRO) for pair in load_reference_ratings()]
+    start = time.perf_counter()
+    exact = [_reachable(e, weights, NO_SLACK) for e in estimates]
+    loose = [_reachable(e, weights, SLACK) for e in estimates]
+    elapsed = time.perf_counter() - start
+    # 13 of the 28 printed estimates come from the printed model and some
+    # integer metrics; 25 do when every printed number may be off by half a
+    # unit in its last digit; D0, D1 and D5 never do.
+    assert [i for i, n in enumerate(exact) if not n] == [0, 1, 2, 3, *range(5, 13), 14, 15, 16]
+    assert [i for i, n in enumerate(loose) if not n] == [0, 1, 5]
+    for row in (0, 1, 2, 5, 13):
+        for slack in (NO_SLACK, SLACK):
+            assert (_reachable(estimates[row], weights, slack)
+                    == _reachable_by_enumeration(estimates[row], weights, slack))
+    assert elapsed < 1.0
+    _ok(8, f"Table 2: {sum(map(bool, exact))} of 28 estimates reachable from the printed model, "
+           f"{sum(map(bool, loose))} with half-unit slack; never D0, D1, D5")

@@ -350,6 +350,46 @@ def test_input_file_may_start_with_a_utf8_bom(tmp_path, monkeypatch, capsys, cas
     assert outputs[0] == outputs[1]
 
 
+FIT = "NA,NM,rating\n1,2,3.1\n2,1,3.9\n3,5,5.2\n4,3,6.1\n5,4,6.8\n"
+RATINGS = "id,known,computed\na,1,1.2\nb,2,2.4\nc,3,1.9\nd,4,3.9\ne,5,5.1\n"
+# Padded with spaces and \037, one of the separators str.strip takes, its id quoted over two lines.
+PADDED_RATINGS = ('id, known, computed\037\n"a\n", 1, 1.2\037\nb, 2, 2.4\037\nc, 3, 1.9\037\n'
+                  'd, 4, 3.9\037\ne, 5, 5.1\037\n')
+SMALL = "class A {\n  attr x\n}\nclass B {}\ngen B => A\n"
+# (argv, the text of its file argv[1], a twin text of that file): a twin gives the same stdout.
+TWINS = {
+    "fit_quoted_cell": (["fit", "fit.csv", "--predictors", "NA,NM"], FIT,
+                        FIT.replace("\n3,", '\n"3",')),
+    # The quoted name sends the twin to the exact reader, which strips the \037 padding.
+    "fit_crlf_padded": (["fit", "fit.csv", "--predictors", "NA,NM"], FIT,
+                        FIT.replace(",", "\037,").replace("\n", "\037\r\n")
+                        .replace("NA\037", '"NA\037"')),
+    "fit_semicolon_rating_first": (["fit", "fit.csv", "--predictors", "NA,NM"], FIT,
+                                   "rating;NA;NM\n3.1;1;2\n3.9;2;1\n5.2;3;5\n6.1;4;3\n6.8;5;4\n"),
+    "fit_tab_aligned_semicolon": (["fit", "fit.csv", "--predictors", "NA"],
+                                  "NA,rating\n1,2\n2,3\n3,5\n",
+                                  "NA\t;\trating\n1\t;\t2\n2\t;\t3\n3\t;\t5\n"),
+    **{f"validate_{name}_{mode}": (["validate", "v.csv", "--mode", mode], RATINGS, twin)
+       for name, twin in [("padded", PADDED_RATINGS), ("crlf", RATINGS.replace("\n", "\r\n"))]
+       for mode in ("rank", "value")},
+    "metrics_one_line_body": (["metrics", "d.cd"], SMALL,
+                              "class A { attr x }\nclass B {}\ngen B => A\n"),
+    "metrics_crlf": (["metrics", "d.cd"], SMALL, SMALL.replace("\n", "\r\n")),
+}
+
+
+@pytest.mark.parametrize("case", TWINS)
+def test_twin_inputs_give_the_same_stdout(tmp_path, monkeypatch, capsys, case):
+    argv, text, twin = TWINS[case]
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for content in (text, twin):
+        (tmp_path / argv[1]).write_text(content, encoding="utf-8", newline="")
+        assert main(argv) == 0, capsys.readouterr().err
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_a_reader_that_closes_early_ends_the_run_quietly(tmp_path):
     # 3000 rows are past the 64 KB a pipe holds, so writing goes on after the reader closes.
     _write(tmp_path, "one.cd", SINGLE_CLASS)

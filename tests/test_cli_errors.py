@@ -70,12 +70,18 @@ CASES = {
             "relationships": [{"kind": "association", "from": "A", "to": "B"},
                               {"kind": "dependency", "from": "B", "to": "A"},
                               {"kind": "association", "from": "A", "to": 5}]})},
-        ["metrics", "bad_rel.json"], 2, "bad_rel.json: relationships[2]."),
+        ["metrics", "bad_rel.json"], 2, "bad_rel.json: relationships[2].to: expected str"),
     "json_duplicate_attributes": (
         {"d.json": json.dumps({"classes": [{"name": "A", "attributes": ["x", "x"]}]})},
         ["metrics", "d.json"], 2, "d.json"),
     "json_integer_id": ({"d.json": json.dumps({"id": 5, "classes": []})},
                         ["metrics", "d.json"], 2, "d.json"),
+    "json_attribute_not_identifier": (
+        {"bad.json": '{"classes": [{"name": "A", "attributes": [1]}]}'}, ["metrics", "bad.json"],
+        2, "bad.json: classes[0].attributes: expected an identifier"),
+    "json_non_ascii_class_name": ({"uni.json": '{"classes": [{"name": "\u017f"}]}'},
+                                  ["metrics", "uni.json"], 2,
+                                  "uni.json: classes[0].name: expected an identifier"),
     "json_attributes_string": (
         {"d.json": json.dumps({"classes": [{"name": "A", "attributes": "abc"}]})},
         ["metrics", "d.json"], 2, "d.json"),
@@ -87,12 +93,41 @@ CASES = {
         ["metrics", "d.json"], 2, "d.json: classes[0]: unknown key 'attribute'"),
     "cd_missing_file": ({}, ["metrics", "missing.cd"], 2, "missing.cd: No such file or directory"),
     "cd_not_utf8": ({"d.cd": b"class A {}\n\xff\n"}, ["metrics", "d.cd"], 2, "d.cd"),
+    "cd_non_ascii_class_name": ({"uni.cd": "class caf\u00e9 {}\n"}, ["metrics", "uni.cd"], 2,
+                                "uni.cd:1:7: illegal identifier 'caf\u00e9' for class name"),
+    "cd_unexpected_token": ({"bad.cd": "class A {\n  attr x y\n}\n"}, ["metrics", "bad.cd"], 2,
+                            "bad.cd:2:10: unexpected token 'y'"),
+    "cd_unterminated_body": ({"open.cd": "class A {\n  attr x\n\n# trailing\n"},
+                             ["metrics", "open.cd"], 2,
+                             "open.cd:2:9: unterminated body of class 'A'"),
+    "cd_missing_class_name": ({"miss.cd": "class A {}\ngen A =>\n"}, ["metrics", "miss.cd"], 2,
+                              "miss.cd:2:9: expected class name"),
+    "cd_late_diagram_header": (
+        {"late.cd": "class A {}\ndiagram d\n"}, ["metrics", "late.cd"], 2,
+        "late.cd:2:1: 'diagram' header allowed only as the first construct"),
+    "cd_repeated_class": ({"repeated.cd": "class A {}\nclass B {}\nclass B {}\nclass A {}\n"},
+                          ["metrics", "repeated.cd"], 3,
+                          "repeated.cd: class 'B' declared more than once"),
+    "cd_duplicate_aggregation_edge": (
+        {"duplicate.cd": "class A {}\nclass B {}\nagg A o- B\nagg A o- B\n"},
+        ["metrics", "duplicate.cd"], 3, "duplicate.cd: duplicate aggregation edge A -> B"),
     "fit_corpus_infinite_predictor": ({"c.csv": "NA,rating\ninf,1\n1,2\n2,3\n"},
                                       ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv"),
     "fit_corpus_not_utf8": ({"c.csv": b"NA,rating\n1,2\n\xff,3\n"},
                             ["fit", "c.csv", "--predictors", "NA"], 4, "c.csv"),
     "validate_row_without_value": (
         {"v.csv": "id,known,computed\na,1,\nb,2,2\n"}, ["validate", "v.csv"], 4, "v.csv:2:"),
+    "validate_blank_line_before_row_without_value": (
+        {"blank_line.csv": "id,known,computed\na,1,1.2\n\nb,2,\nc,3,3.4\n"},
+        ["validate", "blank_line.csv"], 4,
+        "blank_line.csv:4: need a 'computed' or 'diagram' value"),
+    "validate_blank_lines_before_header": (
+        {"vb.csv": "\n\nid,known,computed\na,1,\nb,2,2\n"}, ["validate", "vb.csv"], 4,
+        "vb.csv:4: need a 'computed' or 'diagram' value"),
+    "validate_constant_known": (
+        {"constant.csv": "id,known,computed\na,3,1.2\nb,3,1.9\nc,3,3.4\nd,3,3.9\ne,3,5.1\n"},
+        ["validate", "constant.csv"], 4,
+        "constant.csv: column 'known' is constant: no r_s in rank mode"),
     "validate_non_finite_computed": ({"v.csv": "id,known,computed\na,1,inf\nb,2,2\n"},
                                      ["validate", "v.csv"], 4, "v.csv"),
     "validate_missing_known": ({"v.csv": "id,computed\na,1\nb,2\n"},
@@ -125,6 +160,16 @@ CASES = {
     "corpus_semicolon_separated_row_longer_than_header": (
         {"c.csv": "NM;NA;rating\n1;7;0\n-2;0;8;5\n9;9;-2\n4;1;3\n"},
         ["fit", "c.csv", "--predictors", "NM,NA"], 4, "c.csv:3: more fields than the header"),
+    "fit_corpus_header_only_unknown_column": (
+        {"header_only.csv": "x,rating\n"}, ["fit", "header_only.csv", "--predictors", "NA"], 4,
+        "header_only.csv: unknown metric name(s): ['x']"),
+    "fit_corpus_short_row": (
+        {"short_row.csv": "NA,NM,rating\n1,2,3.1\n2,1\n3,5,5.2\n4,3,6.1\n"},
+        ["fit", "short_row.csv", "--predictors", "NA,NM"], 4,
+        "short_row.csv: bad numeric value for column 'rating': None"),
+    "fit_corpus_no_rows": ({"no_rows.csv": "NA,NM,rating\n"},
+                           ["fit", "no_rows.csv", "--predictors", "NA,NM"], 4,
+                           "no_rows.csv: need at least 3 samples, got 0"),
     "fit_corpus_duplicate_column": (
         {"dup.csv": "NA,NA,rating\n1,5,2\n2,1,3\n3,7,4\n4,2,5\n"},
         ["fit", "dup.csv", "--predictors", "NA"], 4, "dup.csv: duplicate column 'NA'"),
@@ -167,6 +212,9 @@ CASES = {
     "fit_corpus_without_predictor": ({"f.csv": "NA,rating\n1,2\n2,3\n3,5\n"},
                                      ["fit", "f.csv", "--predictors", "NA,NM"], 4,
                                      "f.csv: sample missing predictor(s): ['NM']"),
+    "fit_predictor_not_in_corpus": ({"fit.csv": GOOD_FIT_CORPUS + "5,4,6.8\n"},
+                                    ["fit", "fit.csv", "--predictors", "NA,NC"], 4,
+                                    "fit.csv: sample missing predictor(s): ['NC']"),
     "fit_corpus_one_row": ({"f.csv": "NA,rating\n1,2\n"}, ["fit", "f.csv", "--predictors", "NA"],
                            4, "f.csv: need at least 2 samples, got 1"),
     "fit_corpus_constant_predictor": ({"f.csv": "NA,rating\n1,2\n1,3\n1,4\n"},

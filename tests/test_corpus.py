@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cdmetrics import corpus as corpus_module
 from cdmetrics.cli import main
 from cdmetrics.corpus import CorpusError, _read_rows, load_rating_corpus, parse_validation_rows
-from cdmetrics.errors import InsufficientSamples
+from cdmetrics.errors import InsufficientSamples, read_file
 from cdmetrics.regression import fit
 
 from .oracles import rating_corpus_by_column, validation_rows_by_column
@@ -232,7 +232,8 @@ def test_bulk_conversion_reads_cells_as_float_does(tmp_path, cell):
     # before any cell, and also when no record follows.
     ("x,rating\n", "fit.csv: unknown metric name(s): ['x']"),
     ("x,rating\n1,nan\n", "fit.csv: unknown metric name(s): ['x']"),
-    ("\nNA,rating\n1,2\n", "fit.csv: empty corpus"),
+    # Blank lines before the header are skipped, and lines are counted from the file's first.
+    ("\nNA,rating\n1,2\n3,4,5\n", "fit.csv:4: more fields than the header"),
 ])
 def test_fit_corpus_errors_and_lines(tmp_path, text, message):
     text = text.replace("<big>", TOO_LARGE).replace("<zero>", LARGE_ZERO)
@@ -269,6 +270,9 @@ def test_fit_corpus_errors_and_lines(tmp_path, text, message):
     ('id,known,computed\n"x\ny",1,2\nb,2,\n', "v.csv:4: need a 'computed' or 'diagram' value"),
     ('id,known,computed\na,1,2\n"x\r\n\r\ny",1,2,3\n', "v.csv:5: more fields than the header"),
     ('id,known,computed\n"x\ny",1,2\n<big>,1,2\n', "v.csv:4: field larger"),
+    # Blank lines before the header count as lines.
+    ("\n\nid,known,computed\na,1,\n", "v.csv:4: need a 'computed' or 'diagram' value"),
+    ("\r\nid,known,computed\r\na,1,2\r\nb,2,3,4\r\n", "v.csv:4: more fields than the header"),
     # A plain corpus, whose cells are taken as they are, with a short row.
     ("id,known,computed\na,1,2\nb,3\n", "v.csv:3: need a 'computed' or 'diagram' value"),
 ])
@@ -277,6 +281,25 @@ def test_validation_lines_found_on_failure(text, message):
     got = _outcome(parse_validation_rows, text, "v.csv")
     assert got.startswith(message)
     assert got == _outcome(validation_rows_by_column, text, "v.csv")
+
+
+# Blank lines before the header are skipped, as blank lines between records
+# are: in LF and CRLF text and after a byte-order mark, by both readers.
+@pytest.mark.parametrize("before", ["\n", "\r\n\r\n", "\ufeff\n"])
+@pytest.mark.parametrize("text", ["NA;NM;rating\n1;2;3.1\n2;1;3.9\n3;5;5.2\n",
+                                  "id,known,computed\na,1,1.2\nb,2,1.9\nc,3,3.4\n"])
+def test_blank_lines_before_the_header_are_skipped(tmp_path, before, text):
+    path = tmp_path / "c.csv"
+    path.write_text(before + text, encoding="utf-8", newline="")
+    read = read_file(path, CorpusError)
+    if text.startswith("NA"):
+        want = [({"NA": 1.0, "NM": 2.0}, 3.1), ({"NA": 2.0, "NM": 1.0}, 3.9),
+                ({"NA": 3.0, "NM": 5.0}, 5.2)]
+        assert _by_row(load_rating_corpus(path)) == rating_corpus_by_column(read, "c.csv") == want
+    else:
+        want = parse_validation_rows(text, "v.csv")
+        assert parse_validation_rows(read, "v.csv") == want
+        assert validation_rows_by_column(read, "v.csv") == want
 
 
 # A short row's missing cells are None, every row's columns in header order.
