@@ -8,6 +8,7 @@ import math
 import os
 import re
 from collections.abc import Callable  # already loaded at start-up; for the annotation
+from itertools import chain
 from operator import itemgetter
 
 from .errors import CorpusError, read_file
@@ -137,8 +138,8 @@ def _plain_table(text: str, where: str):
 
 
 def _exact_table(text: str, where: str):
-    """(names, table) of any fit corpus, by _read_rows and float(); the first fault
-    raises a CorpusError that names it."""
+    """(names, table) of any fit corpus: _read_rows' cells, converted by numpy as
+    float() reads them; the first fault raises a CorpusError that names it."""
     names, rows, _ = _read_rows(text, where)
     if "rating" not in names:
         raise CorpusError(f"{where}: missing 'rating' column")
@@ -149,7 +150,8 @@ def _exact_table(text: str, where: str):
         raise CorpusError(f"{where}: unknown metric name(s): {sorted(unknown)}")
     import numpy as np  # here, as in regression.fit, so that `validate` does not load it
     try:  # float()'s reading of every cell at once; a None cell reads as NaN
-        table = np.array([list(row.values()) for row in rows], dtype=float)
+        table = np.fromiter(chain.from_iterable(map(dict.values, rows)), dtype=float,
+                            count=len(rows) * len(names))
     except ValueError:  # an empty or non-numeric cell
         table = None
     if table is None or not np.isfinite(table).all():

@@ -5,6 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from itertools import filterfalse
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -89,12 +90,16 @@ class ClassDiagram:
 
         One walk over a kind's edges builds its successor map and a union-find
         whose roots are its hierarchies (weakly connected components with an
-        edge).  One graphlib pass then hands out the nodes in ready batches, a
-        node becoming ready once all its successors are done: the sinks first,
-        so a node's depth (its longest outgoing path) is its batch's index.
-        Raises DuplicateHierarchyEdge, or GeneralizationCycle/AggregationCycle
-        for a directed cycle, on the first violation found.  The cached dict
-        is shared by every reader and must not be mutated.
+        edge).  A node's depth is its longest outgoing path: 0 for a sink (no
+        outgoing edge of the kind, so on no cycle), else 1 + its depth among
+        the non-sinks, as every longest path ends in one edge into a sink.  So
+        graphlib sees only the non-sinks and hands them out in ready batches, a
+        node becoming ready once all its successors are done, and its depth is
+        1 + its batch's index.  `depths` lists the sinks first; no caller reads
+        its order.  Raises DuplicateHierarchyEdge, or GeneralizationCycle/
+        AggregationCycle for a directed cycle (the one graphlib names in the
+        whole graph), on the first violation found.  The cached dict is shared
+        by every reader and must not be mutated.
         """
         hierarchies: dict[RelKind, Hierarchies] = {}
         for kind, cycle_error in (
@@ -116,15 +121,20 @@ class ClassDiagram:
                     parent[b] = b = parent[parent[b]]
                 parent[a] = b
                 joins += a != b
-            order = TopologicalSorter(successors)
+            order = TopologicalSorter({source: filter(successors.__contains__, targets)
+                                       for source, targets in successors.items()})
             try:
                 order.prepare()
-            except CycleError as exc:
-                # args[1] walks the cycle against the edges and repeats its
-                # first node: [a, c, b, a] for a -> b -> c -> a.
-                raise cycle_error(exc.args[1][:0:-1]) from None
-            depths: dict[str, int] = {}
-            for depth, layer in enumerate(iter(order.get_ready, ())):
+            except CycleError:
+                # The cycles are the whole graph's, but graphlib's walk of the whole
+                # graph may name another one: that one is reported.  args[1] walks the
+                # cycle against the edges, first node repeated: [a, c, b, a] for a -> b -> c -> a.
+                try:
+                    TopologicalSorter(successors).prepare()
+                except CycleError as exc:
+                    raise cycle_error(exc.args[1][:0:-1]) from None
+            depths = dict.fromkeys(filterfalse(successors.__contains__, parent), 0)
+            for depth, layer in enumerate(iter(order.get_ready, ()), 1):
                 depths.update(dict.fromkeys(layer, depth))
                 order.done(*layer)
             hierarchies[kind] = Hierarchies(depths, len(parent) - joins)

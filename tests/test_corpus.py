@@ -187,9 +187,10 @@ def test_a_doubled_quote_reads_as_one(rows_before):
                                                         "computed": "4"}
 
 
-# The table is converted in one numpy call, which must read each cell as float()
-# does: a finite cell as the same float, any other (or a short row's missing
-# cell) as bad, named as the by-row reader names it.
+# The exact reader converts the table in one numpy call, which must read each
+# cell as float() does: a finite cell as the same float, any other (or a short
+# row's missing cell) as bad, named as the by-row reader names it.  The plain
+# header may take numpy's text reader; the quoted one always takes the exact reader.
 @pytest.mark.parametrize("cell", ["1_0", " 1 ", "+.5", "\u0661", "1e400", "nan", "-inf", "", None,
                                   "1#2"])
 def test_bulk_conversion_reads_cells_as_float_does(tmp_path, cell):
@@ -201,16 +202,18 @@ def test_bulk_conversion_reads_cells_as_float_does(tmp_path, cell):
         return value if math.isfinite(value) else "bad"
 
     want = finite_or_bad(float)
-    assert finite_or_bad(lambda c: np.array([["2", c]], dtype=float)[0, 1]) == want
-    text = "rating,NA\n2\n" if cell is None else f"rating,NA\n2,{cell}\n"
-    path = tmp_path / "fit.csv"
-    path.write_text(text, encoding="utf-8")
-    got = _outcome(load_rating_corpus, path)
-    oracle = _outcome(rating_corpus_by_column, text, str(path))
-    if want == "bad":
-        assert got == oracle and f"{path}: bad numeric value for column 'NA': " in got
-    else:
-        assert _by_row(got) == oracle == [({"NA": want}, 2.0)]
+    assert finite_or_bad(lambda c: np.fromiter(iter(["2", c]), dtype=float, count=2)[1]) == want
+    for header in ("rating,NA", '"rating",NA'):
+        text = f"{header}\n2\n" if cell is None else f"{header}\n2,{cell}\n"
+        path = tmp_path / "fit.csv"
+        path.write_text(text, encoding="utf-8")
+        got = _outcome(load_rating_corpus, path)
+        oracle = _outcome(rating_corpus_by_column, text, str(path))
+        if want == "bad":
+            assert got == oracle and f"{path}: bad numeric value for column 'NA': " in got
+        else:
+            assert _by_row(got) == oracle == [({"NA": want}, 2.0)]
+    assert corpus_module._plain_table(text, "fit.csv") is None
 
 
 @pytest.mark.parametrize("text,message", [

@@ -1,5 +1,8 @@
+from graphlib import CycleError, TopologicalSorter
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cdmetrics.diagram import (
     ClassDecl,
@@ -209,3 +212,38 @@ def test_long_generalization_cycle_rejected_without_recursion_error():
         validate(d)
     assert len(exc.value.cycle) == n
     _assert_cycle_follows_edges(exc.value.cycle, d, RelKind.GENERALIZATION)
+
+
+@st.composite
+def cyclic_edges(draw):
+    """Distinct edges, in any order, with at least one cycle among N0..N5 and
+    at least one edge into a class S0..S2 that has no outgoing edge."""
+    nodes = [f"N{i}" for i in range(draw(st.integers(1, 6)))]
+    sinks = [f"S{i}" for i in range(draw(st.integers(1, 3)))]
+    ring = draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+    edges = dict.fromkeys(zip(ring, ring[1:] + ring[:1]))
+    edges.update(dict.fromkeys(draw(st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes + sinks))))))
+    edges.update(dict.fromkeys(draw(st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(sinks)), min_size=1))))
+    return draw(st.permutations(list(edges)))
+
+
+@given(cyclic_edges())
+def test_a_cycle_is_the_one_graphlib_finds_in_the_whole_graph(edges):
+    # The reference: graphlib's walk of every edge of the kind, sinks included.
+    successors = {}
+    for source, target in edges:
+        successors.setdefault(source, {})[target] = None
+    with pytest.raises(CycleError) as found:
+        TopologicalSorter(successors).prepare()
+    cycle = found.value.args[1][:0:-1]
+    names = sorted({name for edge in edges for name in edge})
+    for kind, error in ((RelKind.GENERALIZATION, GeneralizationCycle),
+                        (RelKind.AGGREGATION, AggregationCycle)):
+        d = ClassDiagram("d", _classes(*names), tuple(
+            Relationship(kind, source, target) for source, target in edges
+        ))
+        with pytest.raises(error) as exc:
+            validate(d)
+        assert str(exc.value) == str(error(cycle))

@@ -263,3 +263,38 @@ def test_one_graphlib_pass_per_hierarchy_kind(monkeypatch):
     assert (vec.NGen, vec.NGenH, vec.MaxDIT, vec.NAgg, vec.NAggH, vec.MaxHAgg) == (2, 1, 2, 2, 1, 1)
     assert (d.hierarchies[GEN].depths.get("C", 0), d.hierarchies[AGG].depths.get("A", 0)) == (2, 1)
     assert len(built) == 2
+
+
+# Every aggregation edge ends at a class with no outgoing edge; no generalization.
+PARTS_ONLY = ClassDiagram("d", tuple(ClassDecl(c) for c in "WPQ"), (
+    Relationship(AGG, "W", "P"), Relationship(AGG, "W", "Q"),
+))
+
+
+@given(valid_diagrams())
+@example(DIAMOND)
+@example(UNEVEN_DIAMOND)
+@example(PARTS_ONLY)
+def test_graphlib_is_given_only_classes_with_an_outgoing_edge(d):
+    class RecordingSorter(cdmetrics.diagram.TopologicalSorter):
+        def __init__(self, *args, **kwargs):
+            self.given = set()
+            sorters.append(self)
+            super().__init__(*args, **kwargs)
+
+        def add(self, node, *predecessors):
+            self.given.update((node, *predecessors))
+            super().add(node, *predecessors)
+
+    sorters = []
+    d = ClassDiagram(d.id, d.classes, d.relationships)  # nothing cached on it yet
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdmetrics.diagram, "TopologicalSorter", RecordingSorter)
+        validate(d)
+    assert len(sorters) == 2
+    for kind, sorter in zip((GEN, AGG), sorters):
+        sources = {r.source for r in d.groups[kind]}
+        sinks = {r.target for r in d.groups[kind]} - sources
+        depths = d.hierarchies[kind].depths
+        assert sorter.given == sources
+        assert {sink: depths.get(sink) for sink in sinks} == dict.fromkeys(sinks, 0)
