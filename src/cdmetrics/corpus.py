@@ -14,7 +14,6 @@ from operator import itemgetter
 from .errors import CorpusError, read_file
 from .metrics import METRIC_NAMES
 from .regression import RatingCorpus
-from .spearman import RatedPair
 
 REFERENCE_RATINGS = os.path.join(os.path.dirname(__file__), "data", "table2.csv")
 # r_s the original study reports for the reference ratings, for comparison.
@@ -176,21 +175,15 @@ def parse_validation_rows(text: str, where: str) -> list[dict[str, str]]:
     return rows
 
 
-def pair_from_row(row: dict[str, str], computed: float, where: str) -> RatedPair:
-    """(known, computed) of a validation row, its `known` cell checked finite and
-    `computed` not: for validation_pairs, and callers that convert `computed` themselves."""
-    try:
-        known = float(row["known"])
-    except (KeyError, TypeError, ValueError):
-        known = math.nan
-    if not math.isfinite(known):
-        _number(row, "known", where)  # raises
-    return tuple.__new__(RatedPair, (known, computed))
+def pair_from_row(row: dict[str, str], computed: float, where: str) -> tuple[float, float]:
+    """A plain (known, computed) tuple, the row's `known` cell checked finite and `computed`
+    not: for validation_pairs, and callers that convert `computed` themselves."""
+    return _number(row, "known", where), computed
 
 
-def validation_pairs(text: str, where: str, estimate_diagram=None) -> list[RatedPair]:
-    """Known/computed pairs of a validation corpus; a row without a computed
-    value gets estimate_diagram(its diagram cell)."""
+def validation_pairs(text: str, where: str, estimate_diagram=None) -> list[tuple[float, float]]:
+    """Plain (known, computed) tuples of a validation corpus; a row without a
+    computed value gets estimate_diagram(its diagram cell), read before its known."""
     return [
         pair_from_row(row, _number(row, "computed", where) if row.get("computed")
                       else estimate_diagram(row["diagram"]), where)
@@ -198,6 +191,6 @@ def validation_pairs(text: str, where: str, estimate_diagram=None) -> list[Rated
     ]
 
 
-def load_reference_ratings() -> list[RatedPair]:
-    """The bundled 28-diagram known/computed rating pairs."""
+def load_reference_ratings() -> list[tuple[float, float]]:
+    """The bundled 28-diagram rating pairs, as plain (known, computed) tuples."""
     return validation_pairs(read_file(REFERENCE_RATINGS, CorpusError), "table2.csv")

@@ -27,13 +27,6 @@ class DifferenceMode(Enum):
     VALUE = "value"
 
 
-class RatedPair(NamedTuple):
-    """A known rating and the computed value to rank it against, unchecked."""
-
-    known: float
-    computed: float
-
-
 class ValidationReport(NamedTuple):
     """n pairs in `mode`; d = known - computed per pair (of ranks in rank mode, of
     values in value mode) and sum_d_squared; r_s; and at alpha, critical_value
@@ -137,11 +130,11 @@ def significance(r_s: float, n: int, alpha: float) -> tuple[float, bool]:
 
 
 def spearman(
-    pairs: Sequence[RatedPair],
+    pairs: Sequence[tuple[float, float]],
     mode: DifferenceMode = DifferenceMode.RANK,
     alpha: float = 0.05,
 ) -> ValidationReport:
-    """Correlation report for known-vs-computed pairs.
+    """Correlation report for plain (known, computed) tuples.
 
     The pairs are not checked here: their reader makes every value finite
     (corpus.validation_pairs for the known and computed cells, and the CLI's
@@ -155,10 +148,10 @@ def spearman(
     if n < 2:
         raise TooFewPairs(n)
     score = ranks_with_ties if mode is DifferenceMode.RANK else (lambda values: values)
-    # Columns by attribute: zip(*pairs) would hold a tuple iterator per pair, and at
+    # Columns by index: zip(*pairs) would hold a tuple iterator per pair, and at
     # 10^4 pairs those set off extra garbage collections.
-    known = score([p.known for p in pairs])
-    computed = score([p.computed for p in pairs])
+    known = score([p[0] for p in pairs])
+    computed = score([p[1] for p in pairs])
     if mode is DifferenceMode.RANK:  # a constant column has no r_s; the formula would give one
         for name, ranks in (("known", known), ("computed", computed)):
             if ranks[0] == (n + 1) / 2 and ranks.count(ranks[0]) == n:  # all at the mean rank

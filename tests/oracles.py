@@ -195,6 +195,17 @@ def validation_rows_by_column(text: str, where: str) -> list[dict]:
     return rows
 
 
+def validation_pairs_by_column(text: str, where: str, estimate) -> list[tuple[float, float]]:
+    """(known, computed) per row of a validation corpus: computed read first, by column
+    where its cell is not empty and else as estimate(the diagram cell), then known."""
+    pairs = []
+    for row in validation_rows_by_column(text, where):
+        computed = (_number_by_column(row, "computed", where) if row.get("computed")
+                    else estimate(row["diagram"]))
+        pairs.append((_number_by_column(row, "known", where), computed))
+    return pairs
+
+
 # --- the .cd parser with a `_Line` for every non-blank line -------------------------
 # `parse` and `_Line` as they stood before `parse` checked the common line shapes
 # in place, unchanged but for the name `parse_reference`.  `parse` must agree with

@@ -205,7 +205,7 @@ def test_criterion_8_table2_audit():
     model = PUBLISHED_UNDERSTANDABILITY_MODEL
     assert [name for name, _ in model.coefficients] == ["NAssoc", "NA", "MaxDIT"]
     weights = [round(w * MICRO) for w in (model.intercept, *(w for _, w in model.coefficients))]
-    estimates = [round(pair.computed * MICRO) for pair in load_reference_ratings()]
+    estimates = [round(computed * MICRO) for _, computed in load_reference_ratings()]
     start = time.perf_counter()
     exact = [_reachable(e, weights, NO_SLACK) for e in estimates]
     loose = [_reachable(e, weights, SLACK) for e in estimates]

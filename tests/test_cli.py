@@ -74,14 +74,18 @@ def test_metrics_cycle_exit_3_and_names_cycle(tmp_path, capsys):
     assert "generalization cycle" in err
 
 
-def test_metrics_keeps_processing_and_worst_exit_wins(tmp_path, capsys):
-    good = _write(tmp_path, "good.cd", SINGLE_CLASS)
-    bad = _write(tmp_path, "bad.cd", "nonsense\n")
-    cyclic = _write(tmp_path, "cycle.cd", GEN_CYCLE)
-    assert main(["metrics", bad, good, cyclic]) == 3
+# The worst code, cycle's 3 over bad's 2, wins wherever it stands among the files.
+@pytest.mark.parametrize("order", [("bad", "good", "cycle"), ("cycle", "bad"),
+                                   ("cycle", "good", "bad"), ("good", "cycle", "bad", "good")],
+                         ids=",".join)
+@pytest.mark.parametrize("command", ["metrics", "estimate"])
+def test_metrics_keeps_processing_and_worst_exit_wins(tmp_path, capsys, command, order):
+    texts = {"good": SINGLE_CLASS, "bad": "nonsense\n", "cycle": GEN_CYCLE}
+    paths = [_write(tmp_path, f"{name}.cd", texts[name]) for name in order]
+    assert main([command, *paths]) == 3
     captured = capsys.readouterr()
-    assert "good.cd" in captured.out
-    assert "bad.cd" in captured.err and "cycle.cd" in captured.err
+    assert captured.out.count("good.cd") == order.count("good")
+    assert captured.err.count("bad.cd") == captured.err.count("cycle.cd") == 1
 
 
 def test_metrics_output_follows_argument_order(tmp_path, capsys):

@@ -128,6 +128,16 @@ CASES = {
         {"constant.csv": "id,known,computed\na,3,1.2\nb,3,1.9\nc,3,3.4\nd,3,3.9\ne,3,5.1\n"},
         ["validate", "constant.csv"], 4,
         "constant.csv: column 'known' is constant: no r_s in rank mode"),
+    "validate_bad_known": (
+        {"v.csv": "id,known,computed\na,x,1\nb,2,2\n"}, ["validate", "v.csv"], 4,
+        "v.csv: bad numeric value for column 'known': 'x'"),
+    # computed, or its diagram, is read before known: that fault is the one named.
+    "validate_bad_known_and_computed": (
+        {"v.csv": "id,known,computed\na,x,y\nb,2,2\n"}, ["validate", "v.csv"], 4,
+        "v.csv: bad numeric value for column 'computed': 'y'"),
+    "validate_bad_known_and_diagram": (
+        {"v.csv": "id,known,diagram\na,x,bad.cd\nb,2,bad.cd\n", "bad.cd": "clazz A {}\n"},
+        ["validate", "v.csv"], 2, "bad.cd:1:1: unknown keyword 'clazz'"),
     "validate_non_finite_computed": ({"v.csv": "id,known,computed\na,1,inf\nb,2,2\n"},
                                      ["validate", "v.csv"], 4, "v.csv"),
     "validate_missing_known": ({"v.csv": "id,computed\na,1\nb,2\n"},
@@ -276,10 +286,11 @@ def test_predictor_names_are_stripped_and_empty_ones_dropped(tmp_path, monkeypat
     assert list(json.loads(out)["coefficients"]) == ["NM", "NA"]
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", None, ""])
 def test_non_finite_known_is_corpus_error_naming_the_column(value):
-    with pytest.raises(CorpusError, match="'known'"):
+    with pytest.raises(CorpusError) as exc:
         pair_from_row({"known": value}, 1.0, "v.csv")
+    assert str(exc.value) == f"v.csv: bad numeric value for column 'known': {value!r}"
 
 
 def _error_types(base):

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from cdmetrics import corpus as corpus_module
 from cdmetrics.cli import main
-from cdmetrics.corpus import CorpusError, _read_rows, load_rating_corpus, parse_validation_rows
+from cdmetrics.corpus import (CorpusError, _read_rows, load_rating_corpus,
+                              parse_validation_rows, validation_pairs)
 from cdmetrics.errors import InsufficientSamples, read_file
 from cdmetrics.regression import fit
 
-from .oracles import rating_corpus_by_column, validation_rows_by_column
+from .oracles import (rating_corpus_by_column, validation_pairs_by_column,
+                      validation_rows_by_column)
 
 # Cells where numpy's text reader and float() could part: a signed zero and a
 # subnormal must keep their bits; float() reads `1_0` and Arabic-Indic digits,
@@ -132,6 +134,24 @@ def test_validation_reader_matches_the_by_column_oracle(corpus):
     want = _outcome(validation_rows_by_column, text, "v.csv")
     if isinstance(got, list) and isinstance(want, list):
         got, want = [list(r.items()) for r in got], [list(r.items()) for r in want]
+    assert got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(validation_corpora)
+def test_validation_pairs_match_the_by_column_oracle(corpus):
+    _, text = corpus
+
+    def estimate(name):  # one that never fails, so that only corpus faults are compared
+        return float(len(name))
+
+    got = _outcome(validation_pairs, text, "v.csv", estimate)
+    want = _outcome(validation_pairs_by_column, text, "v.csv", estimate)
+    if isinstance(got, list):  # plain tuples, floats compared bit for bit
+        assert all(type(pair) is tuple for pair in got)
+        got = [(known.hex(), computed.hex()) for known, computed in got]
+    if isinstance(want, list):
+        want = [(known.hex(), computed.hex()) for known, computed in want]
     assert got == want
 
 

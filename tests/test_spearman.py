@@ -15,7 +15,6 @@ from cdmetrics.corpus import load_reference_ratings
 from cdmetrics.errors import TooFewPairs, ValidationInputError
 from cdmetrics.spearman import (
     DifferenceMode,
-    RatedPair,
     _t_ppf,
     ranks_with_ties,
     significance,
@@ -26,7 +25,7 @@ finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 def _pairs(knowns, computeds):
-    return [RatedPair(k, c) for k, c in zip(knowns, computeds)]
+    return [(k, c) for k, c in zip(knowns, computeds)]
 
 
 def test_ranks_simple():
@@ -243,7 +242,7 @@ def test_a_constant_known_column_against_untied_values_is_an_error():
 )
 def test_permutation_equivariance(raw, rnd):
     _assume_no_constant_column(raw)
-    pairs = [RatedPair(k, c) for k, c in raw]
+    pairs = [(k, c) for k, c in raw]
     shuffled = pairs[:]
     rnd.shuffle(shuffled)
     assert spearman(shuffled).r_s == pytest.approx(spearman(pairs).r_s, abs=1e-9)
@@ -252,15 +251,15 @@ def test_permutation_equivariance(raw, rnd):
 @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=2, max_size=30))
 def test_monotone_transform_invariance(raw):
     _assume_no_constant_column(raw)
-    pairs = [RatedPair(k, c) for k, c in raw]
+    pairs = [(k, c) for k, c in raw]
     # doubling is exact in binary floats, so tie structure is preserved
-    transformed = [RatedPair(p.known, 8 * p.computed) for p in pairs]
+    transformed = [(p[0], 8 * p[1]) for p in pairs]
     assert spearman(transformed).r_s == pytest.approx(spearman(pairs).r_s, abs=1e-9)
 
 
 @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=2, max_size=30,
                 unique_by=(lambda t: t[0], lambda t: t[1])))
 def test_antisymmetry_without_ties(raw):
-    pairs = [RatedPair(k, c) for k, c in raw]
-    negated = [RatedPair(p.known, -p.computed) for p in pairs]
+    pairs = [(k, c) for k, c in raw]
+    negated = [(p[0], -p[1]) for p in pairs]
     assert spearman(negated).r_s == pytest.approx(-spearman(pairs).r_s, abs=1e-9)
