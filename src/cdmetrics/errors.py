@@ -35,7 +35,6 @@ class DuplicateClass(DiagramError):
 
 class UnknownEndpoint(DiagramError):
     def __init__(self, kind, name: str):
-        self.name = name
         super().__init__(f"{kind.value} relationship references undeclared class {name!r}")
 
 

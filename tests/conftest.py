@@ -1,12 +1,49 @@
 from __future__ import annotations
 
+import io
 import random
 import string
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from cdmetrics.cli import main
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship
+
+# The CLI tests' one diagram with every model predictor nonzero: NAssoc=5, NA=20, MaxDIT=2.
+BIG = (
+    "diagram big\n"
+    "class A {\n" + "".join(f"  attr a{i}\n" for i in range(10)) + "}\n"
+    "class B {\n" + "".join(f"  attr b{i}\n" for i in range(10)) + "}\n"
+    "class C {}\nclass D {}\n"
+    "assoc A -- B\nassoc A -- C\nassoc A -- D\nassoc B -- C\nassoc B -- D\n"
+    "gen C => B\ngen B => A\n"
+)
+
+
+def write_files(directory, files: dict) -> None:
+    """Write each {name: content} into directory: bytes as they are, a str as
+    UTF-8 with its line ends as they are."""
+    for name, content in files.items():
+        path = Path(directory) / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8", newline="")
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.main(argv); a usage error's SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
 
 # [A-Za-z_][A-Za-z0-9_]{0,8}, drawn as a first character and a tail: several
 # times cheaper to generate than st.from_regex of the same pattern.

@@ -35,33 +35,62 @@ class Mutant(NamedTuple):
     equivalent: str = ""  # why no test can tell it from the program, if none can
 
 
+# Prefixes of the test ids named below.
+M = "tests/test_metrics.py::"
+S = "tests/test_spearman.py::"
+DSL = "tests/test_dsl.py::"
+CASE = "tests/test_cli_errors.py::test_malformed_input_is_one_line_naming_the_file_once"
+TWIN = "tests/test_cli.py::test_twin_inputs_give_the_same_stdout"
+GOLDEN = "tests/test_cli_golden.py::test_golden_stdout_and_exit_code"
+
 MUTANTS = [
     Mutant("diagram_union_skipped", "diagram.py", "                parent[a] = b\n",
-           "                pass\n", ("tests/test_metrics.py",)),
+           "                pass\n", (M + "test_diamond_inheritance", M + "test_hierarchy_counting")),
     Mutant("diagram_batches_from_0", "diagram.py", "enumerate(iter(order.get_ready, ()), 1)",
-           "enumerate(iter(order.get_ready, ()), 0)", ("tests/test_metrics.py",)),
+           "enumerate(iter(order.get_ready, ()), 0)", (M + "test_dit_chain", M + "test_hagg_paths")),
     Mutant("corpus_known_unchecked", "corpus.py", 'return _number(row, "known", where), computed',
-           'return float(row["known"]), computed', ("tests/test_cli_errors.py",)),
+           'return float(row["known"]), computed',
+           (CASE + "[validate_bad_known]",
+            "tests/test_cli_errors.py::test_non_finite_known_is_corpus_error_naming_the_column")),
     Mutant("corpus_plain_table_reads_empty_body", "corpus.py",
-           " or not body or body.isspace():", ":", ("tests/test_corpus.py",)),
+           " or not body or body.isspace():", ":",
+           ("tests/test_corpus.py::test_a_body_without_rows_is_read_as_before",)),
+    Mutant("corpus_diagram_over_computed", "corpus.py", 'if row.get("computed")\n',
+           'if not row.get("diagram")\n',
+           (TWIN + "[validate_both_value_columns_rank]", TWIN + "[validate_both_value_columns_value]")),
     Mutant("spearman_computed_from_known", "spearman.py", "score([p[1] for p in pairs])",
-           "score([p[0] for p in pairs])", ("tests/test_spearman.py",)),
+           "score([p[0] for p in pairs])",
+           (S + "test_reversed_ordering_gives_minus_one", S + "test_reference_fixture_rank_mode")),
     Mutant("spearman_constant_column_allowed", "spearman.py",
            "if ranks[0] == (n + 1) / 2 and", "if False and ranks[0] == (n + 1) / 2 and",
-           ("tests/test_spearman.py",)),
+           (S + "test_a_constant_known_column_against_untied_values_is_an_error",
+            S + "test_a_constant_column_is_an_error_in_rank_mode")),
     Mutant("dsl_repeated_member_allowed", "dsl.py", "if tokens[1] in members:", "if False:",
-           ("tests/test_dsl.py",)),
+           (DSL + "test_duplicate_member_is_syntax_error_at_duplicate",
+            CASE + "[cd_duplicate_attribute]")),
     Mutant("dsl_unknown_class_key_allowed", "dsl.py", "if not _CLASS_KEYS.issuperset(obj):",
-           "if False:", ("tests/test_dsl.py",)),
+           "if False:", (DSL + "test_structured_schema_error_is_the_first_failing_check",
+                         CASE + "[json_misspelt_key]")),
     Mutant("regression_rank_unchecked", "regression.py", "if rank < needed:", "if False:",
-           ("tests/test_regression.py",)),
+           ("tests/test_regression.py::test_fit_singular_design",
+            CASE + "[fit_corpus_constant_predictor]")),
     Mutant("metrics_na_counts_methods", "metrics.py", "NA=sum(len(c.attributes)",
-           "NA=sum(len(c.methods)", ("tests/test_metrics.py",)),
+           "NA=sum(len(c.methods)", (M + "test_single_class_counts",)),
     Mutant("errors_naming_keeps_message", "errors.py",
            "exc.args = (f\"{path}{':' if isinstance(exc, DslSyntaxError) else ': '}{exc}\",)",
-           "pass", ("tests/test_cli_errors.py",)),
+           "pass", (CASE + "[cd_unexpected_token]", CASE + "[json_repeated_key]")),
+    Mutant("errors_bom_kept", "errors.py", 'encoding="utf-8-sig"', 'encoding="utf-8"',
+           (TWIN + "[bom_cd]", TWIN + "[bom_json]", TWIN + "[bom_fit_corpus]", TWIN + "[bom_model]")),
     Mutant("cli_last_exit_code_wins", "cli.py", "max(exit_code, exc.exit_code)",
-           "exc.exit_code", ("tests/test_cli.py",)),
+           "exc.exit_code", ("tests/test_cli.py::test_metrics_keeps_processing_and_worst_exit_wins",)),
+    Mutant("cli_json_extension_case_sensitive", "cli.py", "os.path.splitext(path)[1].lower() ==",
+           "os.path.splitext(path)[1] ==",
+           (GOLDEN + "[metrics_json_upper_case-csv]",
+            TWIN + "[validate_diagram_json_extension_in_any_case]")),
+    Mutant("cli_paths_sorted", "cli.py", "for path in paths:", "for path in sorted(paths):",
+           ("tests/test_cli.py::test_metrics_output_follows_argument_order",)),
+    Mutant("cli_quiet_ignored", "cli.py", "if report and not args.quiet:", "if report:",
+           (GOLDEN + "[reproduce_quiet-table]", GOLDEN + "[reproduce_quiet_tolerance_0-table]")),
 ]
 
 

@@ -6,41 +6,19 @@ fit corpora and validation corpora to every subcommand that reads a file
 (`reproduce` reads none).
 """
 
-import io
 import json
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdmetrics.cli import main
 from cdmetrics.corpus import CorpusError, pair_from_row
 from cdmetrics.dsl import to_dict
 from cdmetrics.errors import CdmetricsError, DiagramError, DiagramFormatError
 
-from .conftest import valid_diagrams
-
-
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def _write(directory: Path, files: dict):
-    for name, content in files.items():
-        path = directory / name
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content, encoding="utf-8")
+from .conftest import run_cli, valid_diagrams, write_files
 
 
 GOOD_CORPUS = "id,known,computed\na,1,1\nb,2,2\nc,3,3\nd,4,4\n"
@@ -91,6 +69,14 @@ CASES = {
     "json_misspelt_key": (
         {"d.json": json.dumps({"classes": [{"name": "A", "attribute": ["x"]}]})},
         ["metrics", "d.json"], 2, "d.json: classes[0]: unknown key 'attribute'"),
+    "cd_generalization_cycle": (
+        {"cycle.cd": "class A {}\nclass B {}\ngen A => B\ngen B => A\n"},
+        ["metrics", "cycle.cd"], 3, "cycle.cd: generalization cycle: A -> B -> A"),
+    "cd_duplicate_attribute": ({"dup.cd": "class A {\n  attr x\n  attr x\n}\n"},
+                               ["metrics", "dup.cd"], 2,
+                               "dup.cd:3:8: duplicate attr name 'x' in class 'A'"),
+    "cd_unknown_keyword": ({"bad.cd": "clazz A {}\n"}, ["metrics", "bad.cd"], 2,
+                           "bad.cd:1:1: unknown keyword 'clazz'"),
     "cd_missing_file": ({}, ["metrics", "missing.cd"], 2, "missing.cd: No such file or directory"),
     "cd_not_utf8": ({"d.cd": b"class A {}\n\xff\n"}, ["metrics", "d.cd"], 2, "d.cd"),
     "cd_non_ascii_class_name": ({"uni.cd": "class caf\u00e9 {}\n"}, ["metrics", "uni.cd"], 2,
@@ -141,7 +127,11 @@ CASES = {
     "validate_non_finite_computed": ({"v.csv": "id,known,computed\na,1,inf\nb,2,2\n"},
                                      ["validate", "v.csv"], 4, "v.csv"),
     "validate_missing_known": ({"v.csv": "id,computed\na,1\nb,2\n"},
-                               ["validate", "v.csv"], 4, "v.csv"),
+                               ["validate", "v.csv"], 4, "v.csv: missing 'known' column"),
+    # Neither value column either: the missing known is the fault named.
+    "validate_neither_known_nor_value_column": ({"v.csv": "id,nope\nx,1\n"},
+                                                ["validate", "v.csv"], 4,
+                                                "v.csv: missing 'known' column"),
     "validate_no_computed_or_diagram_column": (
         {"v.csv": "id,known\na,1\nb,2\n"}, ["validate", "v.csv"], 4,
         "v.csv: need a 'computed' or 'diagram' column"),
@@ -157,6 +147,9 @@ CASES = {
         ["validate", "v.csv"], 3, "c.cd"),
     "json_nested_too_deep": ({"d.json": "[" * 100_000 + "]" * 100_000},
                              ["metrics", "d.json"], 2, "d.json"),
+    "model_not_json": (
+        {"m.model": "{not json", "e.cd": "class A {}"}, ["estimate", "--model", "m.model", "e.cd"],
+        4, "m.model: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     "model_number_too_large": (
         {"m.model": '{"intercept": 1' + "0" * 400 + ', "coefficients": {}}', "e.cd": "class A {}"},
         ["estimate", "--model", "m.model", "e.cd"], 4, "m.model"),
@@ -230,6 +223,14 @@ CASES = {
     "fit_corpus_constant_predictor": ({"f.csv": "NA,rating\n1,2\n1,3\n1,4\n"},
                                       ["fit", "f.csv", "--predictors", "NA"], 4,
                                       "f.csv: design columns are linearly dependent"),
+    "fit_corpus_fewer_rows_than_coefficients": (
+        {"short.csv": "NAssoc,NA,MaxDIT,rating\n0,0,0,1\n1,0,0,2\n0,1,0,3\n"},
+        ["fit", "short.csv", "--predictors", "NAssoc,NA,MaxDIT"], 4,
+        "short.csv: need at least 4 samples, got 3"),
+    "fit_corpus_collinear_predictors": (
+        {"singular.csv": "NA,NM,rating\n1,1,2\n2,2,3\n3,3,4\n4,4,5\n"},
+        ["fit", "singular.csv", "--predictors", "NA,NM"], 4,
+        "singular.csv: design columns are linearly dependent"),
     "fit_corpus_non_finite_solution": ({"f.csv": "NA,rating\n0,-1.7e308\n1,1.7e308\n"},
                                        ["fit", "f.csv", "--predictors", "NA"], 4,
                                        "f.csv: model weights must be finite"),
@@ -239,7 +240,11 @@ CASES = {
         {"v.csv": "id,known,computed\na,1,1e200\nb,2,2\nc,3,3\nd,4,4\n"},
         ["validate", "v.csv", "--mode", "value"], 4,
         "v.csv: differences too large: r_s overflows in value mode"),
-    "metrics_every_input_failed": ({"bad.cd": "clazz A\n"}, ["metrics", "bad.cd"], 2, "bad.cd"),
+    "metrics_every_input_failed": ({"bad.cd": "clazz A\n"}, ["metrics", "bad.cd"], 2,
+                                   "bad.cd:1:1: unknown keyword 'clazz'"),
+    # --quiet drops the report, not the error or its exit code.
+    "quiet_metrics_every_input_failed": ({"bad.cd": "clazz A\n"}, ["--quiet", "metrics", "bad.cd"],
+                                         2, "bad.cd:1:1: unknown keyword 'clazz'"),
     "estimate_every_input_failed": ({"bad.cd": "clazz A\n"}, ["estimate", "bad.cd"], 2, "bad.cd"),
 }
 
@@ -248,8 +253,8 @@ CASES = {
 def test_malformed_input_is_one_line_naming_the_file_once(tmp_path, monkeypatch, case):
     files, argv, code, fault = CASES[case]
     monkeypatch.chdir(tmp_path)
-    _write(tmp_path, files)
-    got, out, err = _run(argv)
+    write_files(tmp_path, files)
+    got, out, err = run_cli(argv)
     assert got == code, err
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -260,7 +265,7 @@ def test_malformed_input_is_one_line_naming_the_file_once(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "x"])
 def test_tolerance_out_of_range_is_usage_error(tolerance):
-    code, out, err = _run(["reproduce", "--tolerance", tolerance])
+    code, out, err = run_cli(["reproduce", "--tolerance", tolerance])
     assert code == 1 and out == ""
     assert err.startswith("usage:") and "--tolerance" in err and "must be a number in" in err
 
@@ -271,8 +276,8 @@ def test_tolerance_out_of_range_is_usage_error(tolerance):
 ])
 def test_bad_predictors_are_usage_errors(tmp_path, monkeypatch, predictors, named):
     monkeypatch.chdir(tmp_path)
-    _write(tmp_path, {"fit.csv": GOOD_FIT_CORPUS})
-    code, out, err = _run(["fit", "fit.csv", "--predictors", predictors])
+    write_files(tmp_path, {"fit.csv": GOOD_FIT_CORPUS})
+    code, out, err = run_cli(["fit", "fit.csv", "--predictors", predictors])
     assert code == 1 and out == ""
     assert err.startswith("usage:") and "--predictors" in err.splitlines()[-1]
     assert named in err.splitlines()[-1]
@@ -280,8 +285,8 @@ def test_bad_predictors_are_usage_errors(tmp_path, monkeypatch, predictors, name
 
 def test_predictor_names_are_stripped_and_empty_ones_dropped(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    _write(tmp_path, {"fit.csv": GOOD_FIT_CORPUS})
-    code, out, err = _run(["fit", "fit.csv", "--predictors", " NM, ,NA,"])
+    write_files(tmp_path, {"fit.csv": GOOD_FIT_CORPUS})
+    code, out, err = run_cli(["fit", "fit.csv", "--predictors", " NM, ,NA,"])
     assert (code, err) == (0, "")
     assert list(json.loads(out)["coefficients"]) == ["NM", "NA"]
 
@@ -382,10 +387,10 @@ COMMANDS = [
 }))
 def test_fuzzed_inputs_never_end_in_a_traceback(files):
     with tempfile.TemporaryDirectory() as directory:
-        _write(Path(directory), files)
+        write_files(directory, files)
         for argv in COMMANDS:
             argv = [str(Path(directory) / a) if "." in a else a for a in argv]
-            code, out, err = _run(argv)
+            code, out, err = run_cli(argv)
             assert code in {0, 2, 3, 4}, (argv, err)
             assert "Traceback" not in err
             if code != 0 and "metrics" not in argv and "estimate" not in argv:

@@ -8,16 +8,8 @@ import json
 
 import pytest
 
-from cdmetrics.cli import main
+from .conftest import BIG, run_cli, write_files
 
-BIG = (
-    "diagram big\n"
-    "class A {\n" + "".join(f"  attr a{i}\n" for i in range(10)) + "}\n"
-    "class B {\n" + "".join(f"  attr b{i}\n" for i in range(10)) + "}\n"
-    "class C {}\nclass D {}\n"
-    "assoc A -- B\nassoc A -- C\nassoc A -- D\nassoc B -- C\nassoc B -- D\n"
-    "gen C => B\ngen B => A\n"
-)
 ONE = {
     "id": "one",
     "classes": [
@@ -41,6 +33,11 @@ FILES = {
     "chains.cd": CHAINS,
     "uneven.cd": UNEVEN,
     "one.json": json.dumps(ONE),
+    # Upper- and mixed-case extensions, and a kind in any case. No two names differ
+    # in case alone, so none collide on a case-insensitive disk.
+    "D.JSON": json.dumps({"id": "j", "classes": [{"name": "A", "attributes": ["x"]}, {"name": "B"}],
+                          "relationships": [{"kind": "Generalization", "from": "B", "to": "A"}]}),
+    "mixed.Json": json.dumps({"id": "m", "classes": [{"name": "A"}]}),
     "fit.csv": "NAssoc,NA,MaxDIT,rating\n0,0,0,1.3\n1,0,0,1.5\n0,1,0,1.4\n0,0,1,1.7\n2,3,1,2.2\n",
     "computed.csv": "id,known,computed\na,1,1.2\nb,2,1.9\nc,2,2.6\nd,4,3.3\ne,5,4.1\n",
     "diagrams.csv": "id,known,diagram\nbig,4,big.cd\none,2,one.json\nbig2,5,big.cd\n",
@@ -56,6 +53,11 @@ COMMANDS = {
     "reproduce_tolerance_0": ["reproduce", "--tolerance", "0"],
     "metrics_chains": ["metrics", "chains.cd"],
     "metrics_uneven": ["metrics", "uneven.cd"],
+    "metrics_json_upper_case": ["metrics", "D.JSON"],
+    "metrics_json_mixed_case": ["metrics", "mixed.Json"],
+    # --quiet drops the report and keeps the exit code.
+    "reproduce_quiet": ["--quiet", "reproduce"],
+    "reproduce_quiet_tolerance_0": ["--quiet", "reproduce", "--tolerance", "0"],
 }
 
 GOLDEN = [
@@ -278,17 +280,23 @@ chains.cd,unnamed,6000,0,0,0,0,0,5999,0,1,0,5999
 file,id,NC,NA,NM,NAssoc,NAgg,NDep,NGen,NAggH,NGenH,MaxHAgg,MaxDIT
 uneven.cd,unnamed,5,0,0,0,0,0,5,0,1,0,3
 '''),
+    ('metrics_json_upper_case', 'csv', 0, '''\
+file,id,NC,NA,NM,NAssoc,NAgg,NDep,NGen,NAggH,NGenH,MaxHAgg,MaxDIT
+D.JSON,j,2,1,0,0,0,0,1,0,1,0,1
+'''),
+    ('metrics_json_mixed_case', 'csv', 0, '''\
+file,id,NC,NA,NM,NAssoc,NAgg,NDep,NGen,NAggH,NGenH,MaxHAgg,MaxDIT
+mixed.Json,m,1,0,0,0,0,0,0,0,0,0,0
+'''),
+    ('reproduce_quiet', 'table', 0, ''),
+    ('reproduce_quiet_tolerance_0', 'table', 5, ''),
 ]
 
 
 @pytest.mark.parametrize(
     "command,fmt,code,stdout", GOLDEN, ids=[f"{c}-{f}" for c, f, _, _ in GOLDEN]
 )
-def test_golden_stdout_and_exit_code(tmp_path, monkeypatch, capsys, command, fmt, code, stdout):
+def test_golden_stdout_and_exit_code(tmp_path, monkeypatch, command, fmt, code, stdout):
     monkeypatch.chdir(tmp_path)
-    for name, text in FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    assert main(["--format", fmt, *COMMANDS[command]]) == code
-    captured = capsys.readouterr()
-    assert captured.out == stdout
-    assert captured.err == ""
+    write_files(tmp_path, FILES)
+    assert run_cli(["--format", fmt, *COMMANDS[command]]) == (code, stdout, "")

@@ -53,7 +53,7 @@ def test_undeclared_endpoint_rejected():
     ))
     with pytest.raises(UnknownEndpoint) as exc:
         validate(d)
-    assert exc.value.name == "Bar"
+    assert str(exc.value) == "association relationship references undeclared class 'Bar'"
 
 
 def test_duplicate_class_rejected():
