@@ -4,30 +4,20 @@ Subcommands: metrics, estimate, fit, validate, reproduce.  Exit codes form
 a ladder so CI can gate on failure class: 0 ok, 1 usage, 2 parse error,
 3 diagram validation error, 4 bad data/model file, 5 reproduction mismatch.
 Subcommands return their reports; main prints them.  An error's type
-carries its exit code (`CdmetricsError.exit_code`).
+carries its exit code (`CdmetricsError.exit_code`).  Each command imports
+the modules it runs, when it runs: `metrics` never loads the corpus reader,
+and `reproduce` never loads the graph core.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 
-from . import corpus as corpus_io
-from .diagram import ClassDiagram, validate
-from .dsl import from_dict, parse
 from .errors import CdmetricsError, CorpusError, DiagramFormatError, ModelError, naming, read_file
-from .metrics import METRIC_NAMES, compute_metrics
-from .regression import (
-    PUBLISHED_UNDERSTANDABILITY_MODEL,
-    LinearModel,
-    estimate,
-    fit,
-)
-from .spearman import DifferenceMode, spearman
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,6 +49,8 @@ _tolerance = _float_in("[0, inf)", lambda t: 0 <= t < math.inf)
 
 def _predictors(text: str) -> list[str]:
     """argparse type: comma-separated metric names, at least one, each named once."""
+    from .metrics import METRIC_NAMES
+
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise argparse.ArgumentTypeError(f"names no metric: {text!r}")
@@ -82,7 +74,8 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     spearman_args = argparse.ArgumentParser(add_help=False)  # validate's and reproduce's
-    spearman_args.add_argument("--mode", choices=[m.value for m in DifferenceMode], default="rank")
+    # DifferenceMode's values, written out so that parsing loads no spearman; a test pins them.
+    spearman_args.add_argument("--mode", choices=("rank", "value"), default="rank")
     spearman_args.add_argument("--alpha", type=_alpha, default=0.05)
 
     p_metrics = sub.add_parser("metrics", help="compute the 11 design metrics")
@@ -118,6 +111,9 @@ def _build_parser() -> _Parser:
 
 def _load_diagram(path) -> ClassDiagram:
     """Read, parse and validate one diagram file."""
+    from .diagram import validate
+    from .dsl import from_dict, parse
+
     is_json = os.path.splitext(path)[1].lower() == ".json"
     decode = (lambda text: from_dict(_decode_json(text))) if is_json else parse
     return read_file(path, DiagramFormatError, lambda text: validate(decode(text)))
@@ -137,6 +133,8 @@ _decode_json = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 def _load_model(path: str | None) -> LinearModel:
+    from .regression import PUBLISHED_UNDERSTANDABILITY_MODEL, LinearModel
+
     if path is None:
         return PUBLISHED_UNDERSTANDABILITY_MODEL
     return read_file(path, ModelError, lambda text: LinearModel.from_json_obj(_decode_json(text)))
@@ -144,6 +142,8 @@ def _load_model(path: str | None) -> LinearModel:
 
 def _estimate(model: LinearModel, model_path: str | None, metrics) -> float:
     """The model's estimate; one that overflows is the fault of the model file."""
+    from .regression import estimate
+
     value = estimate(model, metrics)
     if not math.isfinite(value):
         raise ModelError(f"{model_path}: model gives a non-finite estimate ({value})")
@@ -163,12 +163,16 @@ def _per_file(paths, record):
 
 
 def _cmd_metrics(args):
+    from .metrics import compute_metrics
+
     return _per_file(args.paths, lambda path, diagram: {
         "file": path, "id": diagram.id, "metrics": compute_metrics(diagram).as_dict(),
     })
 
 
 def _cmd_estimate(args):
+    from .metrics import compute_metrics
+
     model = _load_model(args.model)
 
     def record(path, diagram):
@@ -181,16 +185,23 @@ def _cmd_estimate(args):
 
 
 def _cmd_fit(args):
-    rated = corpus_io.load_rating_corpus(args.corpus)
+    from .corpus import load_rating_corpus
+    from .regression import fit
+
+    rated = load_rating_corpus(args.corpus)
     with naming(args.corpus):
         model = fit(rated, args.predictors)
     return model.to_json_obj(), EXIT_OK, None
 
 
 def _cmd_validate(args):
+    from .corpus import validation_pairs
+    from .metrics import compute_metrics
+    from .spearman import DifferenceMode, spearman
+
     model = _load_model(args.model)
     base = os.path.dirname(args.corpus)
-    pairs = corpus_io.validation_pairs(
+    pairs = validation_pairs(
         read_file(args.corpus, CorpusError), args.corpus,
         lambda name: _estimate(model, args.model,
                                compute_metrics(_load_diagram(os.path.join(base, name)))),
@@ -214,9 +225,12 @@ def _cmd_validate(args):
 
 
 def _cmd_reproduce(args):
-    pairs = corpus_io.load_reference_ratings()
+    from .corpus import REPORTED_RANK_CORRELATION, load_reference_ratings
+    from .spearman import DifferenceMode, spearman
+
+    pairs = load_reference_ratings()
     report = spearman(pairs, DifferenceMode(args.mode), alpha=args.alpha)
-    reported = corpus_io.REPORTED_RANK_CORRELATION
+    reported = REPORTED_RANK_CORRELATION
     gap = abs(report.r_s - reported)
     ok = gap <= args.tolerance
     verdict = "significant" if report.significant else "not significant"
@@ -256,6 +270,8 @@ def _emit(report, lines, fmt: str) -> None:
     ]
     headers = list(rows[0])
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(headers)
         writer.writerows([v if isinstance(v, str) else json.dumps(v) for v in r.values()]

@@ -7,13 +7,12 @@ import io
 import math
 import os
 import re
-from collections.abc import Callable  # already loaded at start-up; for the annotation
+from collections.abc import Callable  # for the annotation
 from itertools import chain
 from operator import itemgetter
 
 from .errors import CorpusError, read_file
 from .metrics import METRIC_NAMES
-from .regression import RatingCorpus
 
 REFERENCE_RATINGS = os.path.join(os.path.dirname(__file__), "data", "table2.csv")
 # r_s the original study reports for the reference ratings, for comparison.
@@ -97,6 +96,7 @@ def load_rating_corpus(path: str) -> RatingCorpus:
     names, table = _plain_table(text, where) or _exact_table(text, where)
     at = names.index("rating")
     import numpy as np  # loaded already by either reader
+    from .regression import RatingCorpus  # here, so that `reproduce` does not load regression
     return RatingCorpus(tuple(names[:at] + names[at + 1:]), np.delete(table, at, axis=1),
                         table[:, at])
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import filterfalse
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import (
     AggregationCycle,
@@ -26,32 +26,29 @@ class RelKind(Enum):
     __hash__ = object.__hash__
 
 
-class ClassDecl(NamedTuple):
-    """A class with its declared attribute and method names, in source order."""
+class ClassDecl(namedtuple("ClassDecl", "name attributes methods", defaults=((), ()))):
+    """A class with its declared attribute and method names, in source order:
+    a name and two tuples of names."""
 
-    name: str
-    attributes: tuple[str, ...] = ()
-    methods: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-class Relationship(NamedTuple):
-    """An edge between two declared classes.
+class Relationship(namedtuple("Relationship", "kind source target")):
+    """An edge of a RelKind between two declared classes, named by source and target.
 
     Directionality by kind: aggregation is whole -> part, dependency is
     source -> target, generalization is child -> parent.  Association keeps
     the written order but carries no direction.
     """
 
-    kind: RelKind
-    source: str
-    target: str
+    __slots__ = ()
 
 
-class Hierarchies(NamedTuple):
-    """A hierarchy kind's class depths, and how many hierarchies its edges form."""
+class Hierarchies(namedtuple("Hierarchies", "depths total")):
+    """A hierarchy kind's class depths (a dict by class name), and how many
+    hierarchies its edges form."""
 
-    depths: dict[str, int]
-    total: int
+    __slots__ = ()
 
 
 class ClassDiagram:

@@ -25,7 +25,7 @@ token when a token is missing.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship
 from .errors import DiagramFormatError, DslSyntaxError, check
@@ -46,9 +46,10 @@ _ARROWS = {
 }
 
 
-class SourceSpan(NamedTuple):
-    line: int
-    column: int
+class SourceSpan(namedtuple("SourceSpan", "line column")):
+    """A 1-based line and column."""
+
+    __slots__ = ()
 
 
 def _fail(number: int, code: str, index: int, message: str):

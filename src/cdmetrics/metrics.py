@@ -9,25 +9,16 @@ read it from ClassDiagram.hierarchies.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .diagram import ClassDiagram, RelKind
+from collections import namedtuple
 
 
-class MetricsVector(NamedTuple):
-    """The eleven metrics as a plain tuple; read one by name with getattr."""
+class MetricsVector(namedtuple(
+        "MetricsVector", "NC NA NM NAssoc NAgg NDep NGen NAggH NGenH MaxHAgg MaxDIT",
+        defaults=(0,) * 11)):
+    """The eleven metrics as a plain tuple of ints, each 0 by default; read one
+    by name with getattr."""
 
-    NC: int = 0
-    NA: int = 0
-    NM: int = 0
-    NAssoc: int = 0
-    NAgg: int = 0
-    NDep: int = 0
-    NGen: int = 0
-    NAggH: int = 0
-    NGenH: int = 0
-    MaxHAgg: int = 0
-    MaxDIT: int = 0
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, int]:
         return self._asdict()
@@ -38,6 +29,8 @@ METRIC_NAMES = MetricsVector._fields
 
 def compute_metrics(diagram: ClassDiagram) -> MetricsVector:
     """All eleven metrics; a hierarchy fault raises the error validate() would."""
+    from .diagram import RelKind  # here, so that `fit` and `reproduce` do not load the graph core
+
     groups, hierarchies = diagram.groups, diagram.hierarchies
     gen, agg = hierarchies[RelKind.GENERALIZATION], hierarchies[RelKind.AGGREGATION]
     return MetricsVector(

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import InsufficientSamples, ModelError, SingularDesign, check
 from .metrics import METRIC_NAMES, MetricsVector
@@ -32,11 +33,11 @@ def _number(value, path: str) -> float:
     raise ModelError(f"{path}: expected a finite number, got {value!r:.40}")
 
 
-class LinearModel(NamedTuple):
-    """Intercept plus named metric coefficients, all in rating units; unchecked."""
+class LinearModel(namedtuple("LinearModel", "intercept coefficients")):
+    """Intercept plus named metric coefficients, all in rating units; unchecked.
+    `coefficients` is a tuple of (metric name, weight) pairs."""
 
-    intercept: float
-    coefficients: tuple[tuple[str, float], ...]
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -66,12 +67,11 @@ PUBLISHED_UNDERSTANDABILITY_MODEL = LinearModel(
 )
 
 
-class RatingCorpus(NamedTuple):
-    """Rated diagrams by column, unchecked: predictor names, n x p values, n ratings."""
+class RatingCorpus(namedtuple("RatingCorpus", "predictors values ratings")):
+    """Rated diagrams by column, unchecked: a tuple of predictor names, and numpy
+    arrays of n x p values and n ratings."""
 
-    predictors: tuple[str, ...]
-    values: numpy.ndarray
-    ratings: numpy.ndarray
+    __slots__ = ()
 
 
 def estimate(model: LinearModel, metrics: MetricsVector) -> float:

@@ -14,10 +14,10 @@ start.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from operator import mul, sub
-from typing import NamedTuple, Sequence
 
 from .errors import TooFewPairs, ValidationInputError
 
@@ -27,19 +27,13 @@ class DifferenceMode(Enum):
     VALUE = "value"
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(namedtuple(
+        "ValidationReport", "n mode d sum_d_squared r_s alpha critical_value significant")):
     """n pairs in `mode`; d = known - computed per pair (of ranks in rank mode, of
     values in value mode) and sum_d_squared; r_s; and at alpha, critical_value
     (NaN when significance() has no threshold: n < 4 or a tiny alpha) and significant."""
 
-    n: int
-    mode: DifferenceMode
-    d: tuple[float, ...]
-    sum_d_squared: float
-    r_s: float
-    alpha: float
-    critical_value: float
-    significant: bool
+    __slots__ = ()
 
 
 def ranks_with_ties(values: Sequence[float]) -> list[float]:

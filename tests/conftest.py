@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 import string
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +22,11 @@ BIG = (
     "assoc A -- B\nassoc A -- C\nassoc A -- D\nassoc B -- C\nassoc B -- D\n"
     "gen C => B\ngen B => A\n"
 )
+
+
+# A fresh interpreter's environment, in which the package imports from this checkout.
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def write_files(directory, files: dict) -> None:

@@ -42,6 +42,7 @@ DSL = "tests/test_dsl.py::"
 CASE = "tests/test_cli_errors.py::test_malformed_input_is_one_line_naming_the_file_once"
 TWIN = "tests/test_cli.py::test_twin_inputs_give_the_same_stdout"
 GOLDEN = "tests/test_cli_golden.py::test_golden_stdout_and_exit_code"
+IMPORTS = "tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs"
 
 MUTANTS = [
     Mutant("diagram_union_skipped", "diagram.py", "                parent[a] = b\n",
@@ -76,6 +77,9 @@ MUTANTS = [
             CASE + "[fit_corpus_constant_predictor]")),
     Mutant("metrics_na_counts_methods", "metrics.py", "NA=sum(len(c.attributes)",
            "NA=sum(len(c.methods)", (M + "test_single_class_counts",)),
+    Mutant("metrics_graph_core_at_import", "metrics.py", "from collections import namedtuple\n",
+           "from collections import namedtuple\n\nfrom .diagram import RelKind\n",
+           (IMPORTS + "[fit]", IMPORTS + "[reproduce]")),
     Mutant("errors_naming_keeps_message", "errors.py",
            "exc.args = (f\"{path}{':' if isinstance(exc, DslSyntaxError) else ': '}{exc}\",)",
            "pass", (CASE + "[cd_unexpected_token]", CASE + "[json_repeated_key]")),
@@ -89,6 +93,9 @@ MUTANTS = [
             TWIN + "[validate_diagram_json_extension_in_any_case]")),
     Mutant("cli_paths_sorted", "cli.py", "for path in paths:", "for path in sorted(paths):",
            ("tests/test_cli.py::test_metrics_output_follows_argument_order",)),
+    Mutant("cli_corpus_at_import", "cli.py", "\nfrom .errors import",
+           "\nfrom . import corpus\nfrom .errors import",
+           (IMPORTS + "[import]", IMPORTS + "[metrics]", IMPORTS + "[estimate]")),
     Mutant("cli_quiet_ignored", "cli.py", "if report and not args.quiet:", "if report:",
            (GOLDEN + "[reproduce_quiet-table]", GOLDEN + "[reproduce_quiet_tolerance_0-table]")),
 ]

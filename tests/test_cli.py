@@ -2,18 +2,17 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
+import sysconfig
 
 import pytest
 
-from .conftest import BIG, run_cli, write_files
+from cdmetrics.spearman import DifferenceMode
+
+from .conftest import BIG, SRC_ENV, run_cli, write_files
 
 SINGLE_CLASS = "class A {\n  attr x\n  attr y\n  attr z\n  method m\n  method n\n}\n"
 GEN_CYCLE = "class A {}\nclass B {}\ngen A => B\ngen B => A\n"
 
-# A fresh interpreter's environment, in which the package imports from this checkout.
-SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 # The worst code, cycle's 3 over bad's 2, wins wherever it stands among the files.
@@ -177,9 +176,55 @@ def test_a_reader_that_closes_early_ends_the_run_quietly(tmp_path):
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
-def test_cli_import_leaves_importlib_resources_out():
-    unused = {"importlib.resources", "dataclasses", "inspect", "pathlib", "statistics"}
-    code = f"import sys, cdmetrics.cli; print(sorted({unused!r} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=SRC_ENV,
+# Modules a command may load only if it uses them: csv reads a corpus or writes --format csv,
+# statistics gives validate's and reproduce's critical value, and numpy is fit's (numpy
+# itself imports typing and inspect).  The rest nothing on the CLI path needs.
+WATCHED = ("csv", "statistics", "typing", "numpy", "scipy",
+           "importlib.resources", "dataclasses", "inspect", "pathlib")
+PACKAGE = {"cli", "corpus", "diagram", "dsl", "errors", "metrics", "regression", "spearman"}
+DIAGRAM = {"cli", "diagram", "dsl", "errors", "metrics"}  # what reads a diagram's metrics
+IMPORT_FILES = {"d.cd": SMALL, "d.json": '{"classes": [{"name": "A", "attributes": ["x"]}]}',
+                "fit.csv": FIT, "c.csv": RATINGS,
+                "d.csv": "id,known,computed,diagram\na,1,1.2,\nb,2,,d.cd\nc,3,,d.json\nd,4,5.1,\n"}
+# (argv, or None for a bare `import cdmetrics.cli`; the cdmetrics modules loaded; the
+# WATCHED modules loaded)
+IMPORTS = {
+    "import": (None, {"cli", "errors"}, set()),
+    "metrics": (["metrics", "d.cd", "d.json"], DIAGRAM, set()),
+    "metrics_csv": (["--format", "csv", "metrics", "d.cd"], DIAGRAM, {"csv"}),
+    "estimate": (["estimate", "d.cd", "d.json"], DIAGRAM | {"regression"}, set()),
+    "fit": (["fit", "fit.csv", "--predictors", "NA,NM"],
+            {"cli", "corpus", "errors", "metrics", "regression"},
+            {"csv", "numpy", "typing", "inspect"}),
+    "reproduce": (["reproduce"], {"cli", "corpus", "errors", "metrics", "spearman"},
+                  {"csv", "statistics"}),
+    "validate": (["validate", "d.csv"], PACKAGE, {"csv", "statistics"}),
+    "validate_computed": (["validate", "c.csv"], PACKAGE - {"diagram", "dsl"},
+                          {"csv", "statistics"}),
+}
+
+
+@pytest.mark.parametrize("row", IMPORTS)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, row):
+    # Under -S, as on a host whose start-up imports nothing; site-packages is on the
+    # path, its .pth files unread, so that numpy loads wherever a command imports it.
+    argv, package, watched = IMPORTS[row]
+    write_files(tmp_path, IMPORT_FILES)
+    run = ("import cdmetrics.cli" if argv is None
+           else f"from cdmetrics.cli import main\nassert main({argv!r}) == 0")
+    code = (f"import sys\n{run}\nprint(*sorted(name for name in sys.modules"
+            f" if name.startswith('cdmetrics.') or name in {WATCHED!r}))")
+    env = {**SRC_ENV, "PYTHONPATH": os.pathsep.join(
+        [SRC_ENV["PYTHONPATH"], sysconfig.get_paths()["platlib"]])}
+    result = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    assert set(result.stdout.splitlines()[-1].split()) == (
+        {f"cdmetrics.{name}" for name in package} | watched)
+
+
+@pytest.mark.parametrize("command", ["validate", "reproduce"])
+def test_mode_choices_are_the_difference_modes(command):
+    # The parser names them as a literal, so that building it loads no spearman.
+    code, out, _ = run_cli([command, "--help"])
+    assert code == 0
+    assert f"--mode {{{','.join(mode.value for mode in DifferenceMode)}}}" in out
