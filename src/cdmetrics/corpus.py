@@ -84,21 +84,16 @@ def _number(row: dict, column: str, where: str) -> float:
     return value
 
 
-def load_rating_corpus(path: str) -> RatingCorpus:
-    """Fit corpus, by column: predictor columns plus a `rating` column, in any order.
-
-    Every other column must name a metric, checked once at the header.  A cell
-    that is not a finite number is named: the first by row, then predictors in
-    header order, then rating.  A plain corpus is read by numpy's C text reader
-    (_plain_table), any other by _read_rows and float(): the same values either way."""
+def load_rating_corpus(path: str) -> tuple:
+    """Fit corpus as (names, table): the header's names in order, `rating` among
+    them, and an n x len(names) float array.  Every name but `rating` must be a
+    metric, checked once at the header.  A cell that is not a finite number is
+    named: the first by row, then predictors in header order, then rating.  A
+    plain corpus is read by numpy's C text reader (_plain_table), any other by
+    _read_rows and float(): the same values either way."""
     where = str(path)
     text = read_file(path, CorpusError)
-    names, table = _plain_table(text, where) or _exact_table(text, where)
-    at = names.index("rating")
-    import numpy as np  # loaded already by either reader
-    from .regression import RatingCorpus  # here, so that `reproduce` does not load regression
-    return RatingCorpus(tuple(names[:at] + names[at + 1:]), np.delete(table, at, axis=1),
-                        table[:, at])
+    return _plain_table(text, where) or _exact_table(text, where)
 
 
 def _plain_table(text: str, where: str):

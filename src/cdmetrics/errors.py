@@ -103,7 +103,7 @@ class TooFewPairs(ValidationInputError):
         super().__init__(f"need at least 2 pairs, got {n}")
 
 
-def check(value, kind: type, error: type[CdmetricsError], path: str = ""):
+def check(value, kind: type, error: type[CdmetricsError], path: str):
     """value itself if it is a `kind`, else `error` at the field `path`."""
     if isinstance(value, kind):
         return value

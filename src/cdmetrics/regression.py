@@ -9,9 +9,9 @@ New models over any subset of the eleven metrics are fitted by ordinary least
 squares on the design matrix itself (numpy.linalg.lstsq, an SVD solve), so
 the condition number is not squared as it would be by the normal equations.
 
-The records here check nothing: LinearModel.from_json_obj checks a model file,
-corpus.load_rating_corpus a fit corpus, which it reads by column into floats,
-and fit only that the corpus holds its predictors and its solution is finite.
+A LinearModel checks nothing; its from_json_obj checks a model file,
+corpus.load_rating_corpus a fit corpus, which it reads into a float table, and
+fit only that the corpus holds its predictors and its solution is finite.
 """
 
 from __future__ import annotations
@@ -67,13 +67,6 @@ PUBLISHED_UNDERSTANDABILITY_MODEL = LinearModel(
 )
 
 
-class RatingCorpus(namedtuple("RatingCorpus", "predictors values ratings")):
-    """Rated diagrams by column, unchecked: a tuple of predictor names, and numpy
-    arrays of n x p values and n ratings."""
-
-    __slots__ = ()
-
-
 def estimate(model: LinearModel, metrics: MetricsVector) -> float:
     """intercept + sum of weight * getattr(metrics, name); no clamping or rounding."""
     return model.intercept + sum(
@@ -81,18 +74,20 @@ def estimate(model: LinearModel, metrics: MetricsVector) -> float:
     )
 
 
-def fit(corpus: RatingCorpus, predictors: Sequence[str]) -> LinearModel:
+def fit(corpus: tuple, predictors: Sequence[str]) -> LinearModel:
     """Ordinary least squares over the requested corpus columns plus an intercept.
 
-    Needs at least len(predictors) + 1 rows, the predictors among the corpus's
-    columns and a full-rank design; otherwise raises InsufficientSamples,
-    ModelError or SingularDesign.
+    `corpus` is load_rating_corpus's (names, table), `rating` among the names.
+    Needs at least len(predictors) + 1 rows, the predictors among the other names
+    and a full-rank design; otherwise raises InsufficientSamples, ModelError or
+    SingularDesign.
     """
+    names, table = corpus
     needed = len(predictors) + 1
-    rows = len(corpus.ratings)
+    rows = len(table)
     if rows < needed:
         raise InsufficientSamples(needed, rows)
-    if missing := set(predictors).difference(corpus.predictors):
+    if missing := set(predictors) - (set(names) - {"rating"}):
         raise ModelError(f"sample missing predictor(s): {sorted(missing)}")
 
     # Imported here, not at module level, so that the `metrics` and `estimate`
@@ -100,8 +95,8 @@ def fit(corpus: RatingCorpus, predictors: Sequence[str]) -> LinearModel:
     import numpy as np
 
     design = np.ones((rows, needed))
-    design[:, 1:] = corpus.values[:, [corpus.predictors.index(p) for p in predictors]]
-    solution, _, rank, _ = np.linalg.lstsq(design, corpus.ratings, rcond=None)
+    design[:, 1:] = table[:, [names.index(p) for p in predictors]]
+    solution, _, rank, _ = np.linalg.lstsq(design, table[:, names.index("rating")], rcond=None)
     if rank < needed:
         raise SingularDesign()
     weights = solution.tolist()  # plain floats

@@ -75,6 +75,8 @@ MUTANTS = [
     Mutant("regression_rank_unchecked", "regression.py", "if rank < needed:", "if False:",
            ("tests/test_regression.py::test_fit_singular_design",
             CASE + "[fit_corpus_constant_predictor]")),
+    Mutant("regression_rating_column_last", "regression.py", 'table[:, names.index("rating")]',
+           "table[:, -1]", (TWIN + "[fit_semicolon_rating_first]",)),
     Mutant("metrics_na_counts_methods", "metrics.py", "NA=sum(len(c.attributes)",
            "NA=sum(len(c.methods)", (M + "test_single_class_counts",)),
     Mutant("metrics_graph_core_at_import", "metrics.py", "from collections import namedtuple\n",

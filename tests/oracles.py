@@ -358,7 +358,7 @@ def _known_keys(obj: dict, allowed: tuple, path: str = "") -> dict:
 
 
 def _class_decl(obj) -> ClassDecl:
-    obj = _known_keys(check(obj, dict, DiagramFormatError), ("name", "attributes", "methods"))
+    obj = _known_keys(check(obj, dict, DiagramFormatError, ""), ("name", "attributes", "methods"))
     name = _ident(obj.get("name"), ".name")
     members = [
         tuple([_ident(n, path) for n in check(obj.get(key, []), list, DiagramFormatError, path)])
@@ -371,7 +371,7 @@ def _class_decl(obj) -> ClassDecl:
 
 
 def _relationship(obj) -> Relationship:
-    obj = _known_keys(check(obj, dict, DiagramFormatError), ("kind", "from", "to"))
+    obj = _known_keys(check(obj, dict, DiagramFormatError, ""), ("kind", "from", "to"))
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind.lower() not in _KINDS:
         raise DiagramFormatError(f".kind: expected one of {', '.join(_KINDS)}, got {kind!r:.40}")

@@ -19,7 +19,6 @@ from cdmetrics.errors import DslSyntaxError, SingularDesign
 from cdmetrics.metrics import MetricsVector, compute_metrics
 from cdmetrics.regression import (
     PUBLISHED_UNDERSTANDABILITY_MODEL,
-    RatingCorpus,
     estimate,
     fit,
 )
@@ -77,8 +76,7 @@ def test_criterion_4_regression_recovery():
         (0, 1, 0, 1.38145),
         (0, 0, 1, 1.67565),
     ]
-    table = np.array(rows, dtype=float)
-    model = fit(RatingCorpus(tuple(predictors), table[:, :3], table[:, 3]), predictors)
+    model = fit(([*predictors, "rating"], np.array(rows, dtype=float)), predictors)
     assert model.intercept == pytest.approx(1.33515, abs=1e-9)
     for name, expected in (("NAssoc", 0.129), ("NA", 0.0463), ("MaxDIT", 0.3405)):
         assert dict(model.coefficients)[name] == pytest.approx(expected, abs=1e-9)
@@ -97,14 +95,14 @@ def test_criterion_4_regression_recovery():
             x = [rng.uniform(-10, 10) for _ in range(p)]
             values.append(x)
             ratings.append(intercept + sum(w * v for w, v in zip(weights, x)))
-        fitted = fit(RatingCorpus(tuple(names), np.array(values), np.array(ratings)), names)
+        fitted = fit(([*names, "rating"], np.column_stack([values, ratings])), names)
         assert fitted.intercept == pytest.approx(intercept, abs=1e-8, rel=1e-8)
         for name, w in zip(names, weights):
             assert dict(fitted.coefficients)[name] == pytest.approx(
                 w, abs=1e-8, rel=1e-8)
 
     v = np.arange(5.0)
-    degenerate = RatingCorpus(("NA", "NM"), np.column_stack([v, v]), v + 1)
+    degenerate = (["NA", "NM", "rating"], np.column_stack([v, v, v + 1]))
     with pytest.raises(SingularDesign):
         fit(degenerate, ["NA", "NM"])
     _ok(4, "plane recovery to 1e-9, 100 planted models to 1e-8, "

@@ -95,9 +95,10 @@ def _bits(samples):
 
 
 def _by_row(rated):
-    """A RatingCorpus as the oracle's (predictors, rating) pairs, one a row."""
-    return [(dict(zip(rated.predictors, row)), rating)
-            for row, rating in zip(rated.values.tolist(), rated.ratings.tolist())]
+    """A (names, table) corpus as the oracle's (predictors, rating) pairs, one a row."""
+    names, table = rated
+    return [({name: value for name, value in zip(names, row) if name != "rating"},
+             row[names.index("rating")]) for row in table.tolist()]
 
 
 fit_corpora = corpora(["rating", "NA"], ["NM", "NAssoc", "MaxDIT", "NGen", "NC", "NDep", "x"])
@@ -264,8 +265,7 @@ def test_fit_corpus_errors_and_lines(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     if message is None:
         rated = load_rating_corpus(path)
-        assert rated.predictors == ("NM", "NA")
-        assert rated.values.shape == (0, 2) and rated.ratings.shape == (0,)
+        assert rated[0] == ["NM", "rating", "NA"] and rated[1].shape == (0, 3)
         with pytest.raises(InsufficientSamples, match="need at least 2 samples, got 0"):
             fit(rated, ["NA"])
         return
@@ -445,7 +445,7 @@ def test_a_body_without_rows_is_read_as_before(tmp_path, text, message):
     assert corpus_module._plain_table(text, str(path)) is None
     got = _outcome(load_rating_corpus, path)
     if message is None:
-        assert got.values.shape == (0, 1) and got.ratings.shape == (0,)
+        assert got[1].shape == (0, 2)
         got = _by_row(got)
     else:
         assert got == f"{path.parent}/{message}"

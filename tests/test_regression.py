@@ -11,7 +11,6 @@ from cdmetrics.metrics import METRIC_NAMES, MetricsVector
 from cdmetrics.regression import (
     PUBLISHED_UNDERSTANDABILITY_MODEL,
     LinearModel,
-    RatingCorpus,
     estimate,
     fit,
 )
@@ -65,9 +64,9 @@ def test_model_json_round_trip():
 
 
 def _corpus(rows, predictors):
-    """The corpus of (predictor values..., rating) rows."""
+    """The (names, table) corpus of (predictor values..., rating) rows."""
     table = np.array(rows, dtype=float).reshape(len(rows), len(predictors) + 1)
-    return RatingCorpus(tuple(predictors), table[:, :-1], table[:, -1])
+    return [*predictors, "rating"], table
 
 
 def test_fit_exact_line():
@@ -112,6 +111,8 @@ def test_fit_reads_the_requested_columns_in_the_requested_order():
     assert fit(wide, ["NC", "NA"]) == fit(narrow, ["NC", "NA"])
     with pytest.raises(ModelError, match=r"^sample missing predictor\(s\): \['NGen'\]$"):
         fit(wide, ["NA", "NGen"])
+    with pytest.raises(ModelError, match=r"^sample missing predictor\(s\): \['rating'\]$"):
+        fit(wide, ["rating"])
 
 
 def test_fit_singular_design():
