@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from cdmetrics.cli import main
@@ -22,6 +23,11 @@ BIG = (
     "assoc A -- B\nassoc A -- C\nassoc A -- D\nassoc B -- C\nassoc B -- D\n"
     "gen C => B\ngen B => A\n"
 )
+
+# For tests/mutants.py: a failure found is enough, so no shrinking, and no example
+# database, so that one mutant's failing example is not replayed for the next.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink],
+                          database=None)
 
 
 # A fresh interpreter's environment, in which the package imports from this checkout.

@@ -166,6 +166,13 @@ CASES = {
     "fit_corpus_header_only_unknown_column": (
         {"header_only.csv": "x,rating\n"}, ["fit", "header_only.csv", "--predictors", "NA"], 4,
         "header_only.csv: unknown metric name(s): ['x']"),
+    "fit_corpus_without_rating": ({"f.csv": "NA,NM\n1,2\n2,1\n3,5\n"},
+                                  ["fit", "f.csv", "--predictors", "NA,NM"], 4,
+                                  "f.csv: missing 'rating' column"),
+    "fit_corpus_empty": ({"f.csv": ""}, ["fit", "f.csv", "--predictors", "NA"], 4,
+                         "f.csv: empty corpus"),
+    "validate_blank_lines_only": ({"v.csv": "\n\n\n"}, ["validate", "v.csv"], 4,
+                                  "v.csv: empty corpus"),
     "fit_corpus_short_row": (
         {"short_row.csv": "NA,NM,rating\n1,2,3.1\n2,1\n3,5,5.2\n4,3,6.1\n"},
         ["fit", "short_row.csv", "--predictors", "NA,NM"], 4,

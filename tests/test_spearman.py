@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
@@ -159,24 +155,6 @@ def test_no_threshold_gives_nan_and_not_significant(n, alpha):
     # Fewer than 4 pairs, or 1 - alpha/2 that rounds to 1: no t quantile to compare with.
     critical, significant = significance(1.0, n, alpha)
     assert math.isnan(critical) and significant is False
-
-
-def _loaded_scipy_and_numpy(code: str, cwd=None) -> str:
-    """Run code in a fresh interpreter; which of scipy and numpy it loaded."""
-    code = f"import sys\n{code}\nprint(sorted({{'scipy', 'numpy'}} & set(sys.modules)))\n"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
-                            capture_output=True, text=True, check=True)
-    return result.stdout.splitlines()[-1]
-
-
-def test_cli_and_significance_import_neither_scipy_nor_numpy():
-    code = ("import sys, cdmetrics.cli\n"
-            "from cdmetrics.spearman import significance\n"
-            "significance(0.5, 28, 0.05)")
-    assert _loaded_scipy_and_numpy(code) == "[]"
 
 
 def test_submodule_import_binds_the_module():
