@@ -27,15 +27,16 @@ def _delimiter(header_line: str) -> str:
 def _read_rows(text: str, where: str) -> tuple[list[str], list[dict], Callable[[int], int]]:
     """Header names, the records as dicts by name, and line_of(i), the line record i ends on.
 
-    The header is the first non-blank line, and the delimiter is its (_delimiter);
-    quoting is Excel's.  Spaces and tabs after a delimiter and blank lines, before
-    the header too, are skipped and names stripped.  A record longer than the
-    header is an error; a short one's missing cells are None.
+    The header is the first line with a non-space character; the lines before it read
+    as empty.  Its delimiter (_delimiter) is the corpus's, and quoting is Excel's.
+    Spaces and tabs after a delimiter and empty lines are skipped and names stripped.
+    A record longer than the header is an error; a short one's missing cells are None.
     Cells are stripped unless the text is ASCII and holds no `"` and no character
     str.strip takes but a line break, which csv ends an unquoted cell at.  A line
     is found only on failure.
     """
-    delimiter = _delimiter(text.lstrip("\r\n").partition("\n")[0])
+    text = re.sub(r"\A\s*(?:\n|\Z)", lambda blank: "\n" * blank[0].count("\n"), text)
+    delimiter = _delimiter(text.lstrip("\n").partition("\n")[0])
     if delimiter != "\t" and "\t" in text:  # skipinitialspace skips spaces, not tabs
         # Padding tabs become spaces; a match ends with its field, so tabs in quotes stay.
         field = rf'([ \t]*)((?:"(?:[^"]|"")*(?:"|\Z))?[^{delimiter}\r\n]*)'

@@ -87,16 +87,16 @@ class ClassDiagram:
 
         One walk over a kind's edges builds its successor map and a union-find
         whose roots are its hierarchies (weakly connected components with an
-        edge).  A node's depth is its longest outgoing path: 0 for a sink (no
-        outgoing edge of the kind, so on no cycle), else 1 + its depth among
-        the non-sinks, as every longest path ends in one edge into a sink.  So
-        graphlib sees only the non-sinks and hands them out in ready batches, a
-        node becoming ready once all its successors are done, and its depth is
-        1 + its batch's index.  `depths` lists the sinks first; no caller reads
-        its order.  Raises DuplicateHierarchyEdge, or GeneralizationCycle/
-        AggregationCycle for a directed cycle (the one graphlib names in the
-        whole graph), on the first violation found.  The cached dict is shared
-        by every reader and must not be mutated.
+        edge).  A node's depth is its longest outgoing path.  Sinks (no outgoing
+        edge of the kind) and sources (no incoming one) are on no cycle, so
+        graphlib sees only the nodes inside: sinks take depth 0 first, graphlib
+        hands out the rest in ready batches at 1 + the batch's index (a node is
+        ready once all its successors are done), and each source then takes 1 +
+        its deepest target's depth.  `depths` lists sinks, batches, then sources;
+        no caller reads its order.  Raises DuplicateHierarchyEdge, or
+        GeneralizationCycle/AggregationCycle for a directed cycle (the one
+        graphlib names in the whole graph), on the first violation found.  The
+        cached dict is shared by every reader and must not be mutated.
         """
         hierarchies: dict[RelKind, Hierarchies] = {}
         for kind, cycle_error in (
@@ -118,8 +118,10 @@ class ClassDiagram:
                     parent[b] = b = parent[parent[b]]
                 parent[a] = b
                 joins += a != b
+            targeted = set().union(*successors.values())
             order = TopologicalSorter({source: filter(successors.__contains__, targets)
-                                       for source, targets in successors.items()})
+                                       for source, targets in successors.items()
+                                       if source in targeted})
             try:
                 order.prepare()
             except CycleError:
@@ -134,6 +136,9 @@ class ClassDiagram:
             for depth, layer in enumerate(iter(order.get_ready, ()), 1):
                 depths.update(dict.fromkeys(layer, depth))
                 order.done(*layer)
+            for source, targets in successors.items():
+                if source not in targeted:
+                    depths[source] = 1 + max(map(depths.__getitem__, targets))
             hierarchies[kind] = Hierarchies(depths, len(parent) - joins)
         return hierarchies
 

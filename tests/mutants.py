@@ -44,6 +44,11 @@ MUTANTS = [
            "                pass\n"),
     Mutant("diagram_batches_from_0", "diagram.py", "enumerate(iter(order.get_ready, ()), 1)",
            "enumerate(iter(order.get_ready, ()), 0)"),
+    Mutant("diagram_sources_given_to_graphlib", "diagram.py",
+           "successors.items()\n                                       if source in targeted})",
+           "successors.items()})"),
+    Mutant("diagram_source_depth_from_first_target", "diagram.py",
+           "max(map(depths.__getitem__, targets))", "depths[next(iter(targets))]"),
     Mutant("corpus_known_unchecked", "corpus.py", 'return _number(row, "known", where), computed',
            'return float(row["known"]), computed'),
     Mutant("corpus_plain_table_reads_empty_body", "corpus.py",

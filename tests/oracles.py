@@ -129,8 +129,12 @@ def read_rows_dictreader(text: str, where: str):
     """Header names, the records as dicts (stripped), and each record's line:
     the corpus reader as it was before it read rows as lists, with the
     delimiter the header line gives (a comma, else a semicolon, else a tab)."""
-    # A rule added since: the header is the first non-blank line.
-    header_line = text.lstrip("\r\n").split("\n")[0]
+    # A rule added since: the header is the first line that holds a non-space
+    # character, and the lines before it are read as empty lines.
+    lines = text.split("\n")
+    at = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    text = "\n".join([""] * at + lines[at:])
+    header_line = text.lstrip("\n").split("\n")[0]
     delimiter = "," if "," in header_line else ";" if ";" in header_line else "\t"
     # A rule added since: tab padding before a field is skipped as spaces are,
     # so a quote after it opens a quoted cell.

@@ -173,6 +173,17 @@ CASES = {
                          "f.csv: empty corpus"),
     "validate_blank_lines_only": ({"v.csv": "\n\n\n"}, ["validate", "v.csv"], 4,
                                   "v.csv: empty corpus"),
+    # A line of only spaces before the header is a blank line, skipped and counted.
+    "validate_space_lines_only": ({"v.csv": "\n\n  \n\n"}, ["validate", "v.csv"], 4,
+                                  "v.csv: empty corpus"),
+    "validate_space_line_before_header": (
+        {"v.csv": "  \nid,known,computed\na,1,1\nb,2,\nc,3,3\n"}, ["validate", "v.csv"], 4,
+        "v.csv:4: need a 'computed' or 'diagram' value"),
+    "fit_space_lines_only": ({"f.csv": " \t \n  "}, ["fit", "f.csv", "--predictors", "NA"], 4,
+                             "f.csv: empty corpus"),
+    "fit_space_line_before_header": (
+        {"f.csv": "  \r\nNA,rating\r\n1,2\r\n3,4,5\r\n"}, ["fit", "f.csv", "--predictors", "NA"],
+        4, "f.csv:4: more fields than the header"),
     "fit_corpus_short_row": (
         {"short_row.csv": "NA,NM,rating\n1,2,3.1\n2,1\n3,5,5.2\n4,3,6.1\n"},
         ["fit", "short_row.csv", "--predictors", "NA,NM"], 4,

@@ -307,8 +307,9 @@ def test_validation_lines_found_on_failure(text, message):
 
 
 # Blank lines before the header are skipped, as blank lines between records
-# are: in LF and CRLF text and after a byte-order mark, by both readers.
-@pytest.mark.parametrize("before", ["\n", "\r\n\r\n", "\ufeff\n"])
+# are: in LF and CRLF text and after a byte-order mark, by both readers.  Before
+# the header, a line of only spaces and tabs is blank too.
+@pytest.mark.parametrize("before", ["\n", "\r\n\r\n", "\ufeff\n", "  \n", "\t \r\n \n"])
 @pytest.mark.parametrize("text", ["NA;NM;rating\n1;2;3.1\n2;1;3.9\n3;5;5.2\n",
                                   "id,known,computed\na,1,1.2\nb,2,1.9\nc,3,3.4\n"])
 def test_blank_lines_before_the_header_are_skipped(tmp_path, before, text):

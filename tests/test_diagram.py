@@ -216,22 +216,29 @@ def test_long_generalization_cycle_rejected_without_recursion_error():
 
 @st.composite
 def cyclic_edges(draw):
-    """Distinct edges, in any order, with at least one cycle among N0..N5 and
-    at least one edge into a class S0..S2 that has no outgoing edge."""
+    """Distinct edges, in any order, with at least one cycle among N0..N5, at
+    least one edge into a class S0..S2 that has no outgoing edge, and edges
+    from each class R0..R2, which has no incoming edge, into the ring and
+    maybe into other classes N0..N5 and S0..S2."""
     nodes = [f"N{i}" for i in range(draw(st.integers(1, 6)))]
     sinks = [f"S{i}" for i in range(draw(st.integers(1, 3)))]
+    sources = [f"R{i}" for i in range(draw(st.integers(0, 3)))]
     ring = draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
     edges = dict.fromkeys(zip(ring, ring[1:] + ring[:1]))
     edges.update(dict.fromkeys(draw(st.lists(
         st.tuples(st.sampled_from(nodes), st.sampled_from(nodes + sinks))))))
     edges.update(dict.fromkeys(draw(st.lists(
         st.tuples(st.sampled_from(nodes), st.sampled_from(sinks)), min_size=1))))
+    if sources:
+        edges.update(dict.fromkeys((source, draw(st.sampled_from(ring))) for source in sources))
+        edges.update(dict.fromkeys(draw(st.lists(
+            st.tuples(st.sampled_from(sources), st.sampled_from(nodes + sinks))))))
     return draw(st.permutations(list(edges)))
 
 
 @given(cyclic_edges())
 def test_a_cycle_is_the_one_graphlib_finds_in_the_whole_graph(edges):
-    # The reference: graphlib's walk of every edge of the kind, sinks included.
+    # The reference: graphlib's walk of every edge of the kind, sinks and sources included.
     successors = {}
     for source, target in edges:
         successors.setdefault(source, {})[target] = None

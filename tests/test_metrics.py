@@ -265,17 +265,24 @@ def test_one_graphlib_pass_per_hierarchy_kind(monkeypatch):
     assert len(built) == 2
 
 
-# Every aggregation edge ends at a class with no outgoing edge; no generalization.
-PARTS_ONLY = ClassDiagram("d", tuple(ClassDecl(c) for c in "WPQ"), (
-    Relationship(AGG, "W", "P"), Relationship(AGG, "W", "Q"),
+# Stars: each edge of a kind joins a source to a sink, so no class is inside a hierarchy.
+STAR = ClassDiagram("d", tuple(ClassDecl(c) for c in "HABC"), (
+    *(Relationship(GEN, child, "H") for child in "ABC"),
+    *(Relationship(AGG, "H", part) for part in "AB"),
+))
+# S's first target is a sink, and its second heads a chain of two edges: S's depth is 3.
+SINK_THEN_CHAIN = ClassDiagram("d", tuple(ClassDecl(c) for c in "SABCD"), tuple(
+    Relationship(kind, source, target) for kind in (GEN, AGG)
+    for source, target in (("S", "A"), ("S", "B"), ("B", "C"), ("C", "D"))
 ))
 
 
 @given(valid_diagrams())
 @example(DIAMOND)
 @example(UNEVEN_DIAMOND)
-@example(PARTS_ONLY)
-def test_graphlib_is_given_only_classes_with_an_outgoing_edge(d):
+@example(STAR)
+@example(SINK_THEN_CHAIN)
+def test_graphlib_is_given_only_classes_with_an_incoming_and_an_outgoing_edge(d):
     class RecordingSorter(cdmetrics.diagram.TopologicalSorter):
         def __init__(self, *args, **kwargs):
             self.given = set()
@@ -293,8 +300,16 @@ def test_graphlib_is_given_only_classes_with_an_outgoing_edge(d):
         validate(d)
     assert len(sorters) == 2
     for kind, sorter in zip((GEN, AGG), sorters):
-        sources = {r.source for r in d.groups[kind]}
-        sinks = {r.target for r in d.groups[kind]} - sources
+        successors = {}
+        for r in d.groups[kind]:
+            successors.setdefault(r.source, []).append(r.target)
+        targets = {r.target for r in d.groups[kind]}
         depths = d.hierarchies[kind].depths
-        assert sorter.given == sources
+        assert sorter.given == successors.keys() & targets
+        # A source, which graphlib is not given, is one above the deepest of its targets.
+        assert {source: depths[source] for source in successors.keys() - targets} == {
+            source: 1 + max(depths[target] for target in successors[source])
+            for source in successors.keys() - targets
+        }
+        sinks = targets - successors.keys()
         assert {sink: depths.get(sink) for sink in sinks} == dict.fromkeys(sinks, 0)
