@@ -9,13 +9,7 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import filterfalse
 from operator import itemgetter
 
-from .errors import (
-    AggregationCycle,
-    DuplicateClass,
-    DuplicateHierarchyEdge,
-    GeneralizationCycle,
-    UnknownEndpoint,
-)
+from .errors import DiagramError, HierarchyCycle
 
 class RelKind(Enum):
     ASSOCIATION = "association"
@@ -93,23 +87,20 @@ class ClassDiagram:
         hands out the rest in ready batches at 1 + the batch's index (a node is
         ready once all its successors are done), and each source then takes 1 +
         its deepest target's depth.  `depths` lists sinks, batches, then sources;
-        no caller reads its order.  Raises DuplicateHierarchyEdge, or
-        GeneralizationCycle/AggregationCycle for a directed cycle (the one
-        graphlib names in the whole graph), on the first violation found.  The
-        cached dict is shared by every reader and must not be mutated.
+        no caller reads its order.  Raises a DiagramError `duplicate <kind> edge
+        A -> B`, or a HierarchyCycle `<kind> cycle: A -> B -> A` for a directed
+        cycle (the one graphlib names in the whole graph), on the first violation
+        found.  The cached dict is shared by every reader and must not be mutated.
         """
         hierarchies: dict[RelKind, Hierarchies] = {}
-        for kind, cycle_error in (
-            (RelKind.GENERALIZATION, GeneralizationCycle),
-            (RelKind.AGGREGATION, AggregationCycle),
-        ):
+        for kind in (RelKind.GENERALIZATION, RelKind.AGGREGATION):
             successors: dict[str, dict[str, None]] = {}
             parent: dict[str, str] = {}
             joins = 0
             for _, source, target in self.groups[kind]:
                 targets = successors.setdefault(source, {})
                 if target in targets:
-                    raise DuplicateHierarchyEdge(kind, (source, target))
+                    raise DiagramError(f"duplicate {kind.value} edge {source} -> {target}")
                 targets[target] = None
                 a, b = parent.setdefault(source, source), parent.setdefault(target, target)
                 while a != parent[a]:
@@ -131,7 +122,7 @@ class ClassDiagram:
                 try:
                     TopologicalSorter(successors).prepare()
                 except CycleError as exc:
-                    raise cycle_error(exc.args[1][:0:-1]) from None
+                    raise HierarchyCycle(kind, exc.args[1][:0:-1]) from None
             depths = dict.fromkeys(filterfalse(successors.__contains__, parent), 0)
             for depth, layer in enumerate(iter(order.get_ready, ()), 1):
                 depths.update(dict.fromkeys(layer, depth))
@@ -156,12 +147,12 @@ def validate(diagram: ClassDiagram) -> ClassDiagram:
     a declared class, and that the generalization and aggregation subgraphs
     have no repeated edge and no directed cycle.  The names and endpoints are
     checked as sets first; only when one of those checks fails does a walk in
-    declaration order name the fault.  Raises DuplicateClass,
-    UnknownEndpoint, DuplicateHierarchyEdge, GeneralizationCycle, or
-    AggregationCycle on the first violation found.  Member names are not
-    checked here: the readers (`dsl.parse`, `dsl.from_dict`) reject a class
-    that names an attribute or method twice.  Nothing is reordered, and
-    validating twice is a no-op.
+    declaration order name the fault.  Raises a DiagramError on the first
+    violation found: `class 'A' declared more than once`, `<kind> relationship
+    references undeclared class 'B'`, or a hierarchy's fault (see
+    ClassDiagram.hierarchies).  Member names are not checked here: the readers
+    (`dsl.parse`, `dsl.from_dict`) reject a class that names an attribute or
+    method twice.  Nothing is reordered, and validating twice is a no-op.
     """
     classes, relationships = diagram.classes, diagram.relationships
     seen = set(map(itemgetter(0), classes))
@@ -169,14 +160,15 @@ def validate(diagram: ClassDiagram) -> ClassDiagram:
         seen = set()
         for cls in classes:
             if cls.name in seen:
-                raise DuplicateClass(cls.name)
+                raise DiagramError(f"class {cls.name!r} declared more than once")
             seen.add(cls.name)
 
     if not (seen.issuperset(map(itemgetter(1), relationships))
             and seen.issuperset(map(itemgetter(2), relationships))):
         for kind, source, target in relationships:
             if source not in seen or target not in seen:
-                raise UnknownEndpoint(kind, source if source not in seen else target)
+                raise DiagramError(f"{kind.value} relationship references undeclared class "
+                                   f"{source if source not in seen else target!r}")
 
     diagram.hierarchies  # raises on a duplicate hierarchy edge or a cycle
     return diagram

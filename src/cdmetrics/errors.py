@@ -1,7 +1,10 @@
 """Exception types raised across the package, and the file reader that raises them.
 
 Every error type of the package is here, the corpus reader's CorpusError
-included, and each carries the exit code the CLI returns for it.
+included.  A class is a category: it carries the exit code the CLI returns
+for it, and each fault is raised with its message written where it is found.
+A DslSyntaxError's `span` and a HierarchyCycle's `cycle` are the only data
+an error carries beyond its message.
 """
 
 from __future__ import annotations
@@ -28,38 +31,13 @@ class DiagramError(CdmetricsError):
     exit_code = 3
 
 
-class DuplicateClass(DiagramError):
-    def __init__(self, name: str):
-        super().__init__(f"class {name!r} declared more than once")
-
-
-class UnknownEndpoint(DiagramError):
-    def __init__(self, kind, name: str):
-        super().__init__(f"{kind.value} relationship references undeclared class {name!r}")
-
-
 class HierarchyCycle(DiagramError):
-    """A directed cycle in the generalization or aggregation subgraph."""
+    """A directed cycle of a hierarchy kind's edges; `cycle` lists its classes."""
 
-    def __init__(self, cycle: list[str]):
+    def __init__(self, kind, cycle: list[str]):
         self.cycle = list(cycle)
         path = " -> ".join(self.cycle + [self.cycle[0]])
-        super().__init__(f"{self.label}: {path}")
-
-    label = "cycle"
-
-
-class GeneralizationCycle(HierarchyCycle):
-    label = "generalization cycle"
-
-
-class AggregationCycle(HierarchyCycle):
-    label = "aggregation cycle"
-
-
-class DuplicateHierarchyEdge(DiagramError):
-    def __init__(self, kind, pair: tuple[str, str]):
-        super().__init__(f"duplicate {kind.value} edge {pair[0]} -> {pair[1]}")
+        super().__init__(f"{kind.value} cycle: {path}")
 
 
 class DiagramFormatError(CdmetricsError):
@@ -80,27 +58,12 @@ class ModelError(CdmetricsError):
     """A problem with a linear model or its fitting inputs."""
 
 
-class InsufficientSamples(ModelError):
-    def __init__(self, needed: int, got: int):
-        super().__init__(f"need at least {needed} samples, got {got}")
-
-
-class SingularDesign(ModelError):
-    def __init__(self):
-        super().__init__("design columns are linearly dependent")
-
-
 class CorpusError(CdmetricsError):
     """Malformed corpus file."""
 
 
 class ValidationInputError(CdmetricsError):
     """Bad input to the rank-correlation routines."""
-
-
-class TooFewPairs(ValidationInputError):
-    def __init__(self, n: int):
-        super().__init__(f"need at least 2 pairs, got {n}")
 
 
 def check(value, kind: type, error: type[CdmetricsError], path: str):

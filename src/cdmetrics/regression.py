@@ -21,7 +21,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import InsufficientSamples, ModelError, SingularDesign, check
+from .errors import ModelError, check
 from .metrics import METRIC_NAMES, MetricsVector
 
 
@@ -79,14 +79,15 @@ def fit(corpus: tuple, predictors: Sequence[str]) -> LinearModel:
 
     `corpus` is load_rating_corpus's (names, table), `rating` among the names.
     Needs at least len(predictors) + 1 rows, the predictors among the other names
-    and a full-rank design; otherwise raises InsufficientSamples, ModelError or
-    SingularDesign.
+    and a full-rank design; otherwise raises a ModelError: `need at least 3
+    samples, got 2`, `sample missing predictor(s): ['NGen']` or `design columns
+    are linearly dependent`.
     """
     names, table = corpus
     needed = len(predictors) + 1
     rows = len(table)
     if rows < needed:
-        raise InsufficientSamples(needed, rows)
+        raise ModelError(f"need at least {needed} samples, got {rows}")
     if missing := set(predictors) - (set(names) - {"rating"}):
         raise ModelError(f"sample missing predictor(s): {sorted(missing)}")
 
@@ -98,7 +99,7 @@ def fit(corpus: tuple, predictors: Sequence[str]) -> LinearModel:
     design[:, 1:] = table[:, [names.index(p) for p in predictors]]
     solution, _, rank, _ = np.linalg.lstsq(design, table[:, names.index("rating")], rcond=None)
     if rank < needed:
-        raise SingularDesign()
+        raise ModelError("design columns are linearly dependent")
     weights = solution.tolist()  # plain floats
     if not all(map(math.isfinite, weights)):
         raise ModelError("model weights must be finite")

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from enum import Enum
 from operator import mul, sub
 
-from .errors import TooFewPairs, ValidationInputError
+from .errors import ValidationInputError
 
 
 class DifferenceMode(Enum):
@@ -132,15 +132,17 @@ def spearman(
 
     The pairs are not checked here: their reader makes every value finite
     (corpus.validation_pairs for the known and computed cells, and the CLI's
-    estimate check for a value estimated from a diagram).  In value mode,
-    finite differences can still be too large for r_s, whose sum of squares
-    overflows; that raises ValidationInputError, as does a constant column in
-    rank mode.  Where significance() has no threshold, as with fewer than 4
-    pairs, the report carries critical_value = NaN and significant = False.
+    estimate check for a value estimated from a diagram).  A ValidationInputError
+    is raised for fewer than 2 pairs (`need at least 2 pairs, got 1`), for a
+    constant column in rank mode (`column 'known' is constant: no r_s in rank
+    mode`), and in value mode for finite differences too large for r_s, whose
+    sum of squares overflows (`differences too large: r_s overflows in value
+    mode`).  Where significance() has no threshold, as with fewer than 4 pairs,
+    the report carries critical_value = NaN and significant = False.
     """
     n = len(pairs)
     if n < 2:
-        raise TooFewPairs(n)
+        raise ValidationInputError(f"need at least 2 pairs, got {n}")
     score = ranks_with_ties if mode is DifferenceMode.RANK else (lambda values: values)
     # Columns by index: zip(*pairs) would hold a tuple iterator per pair, and at
     # 10^4 pairs those set off extra garbage collections.

@@ -4,7 +4,7 @@ import io
 import os
 import random
 import string
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -55,6 +55,15 @@ def run_cli(argv) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@contextmanager
+def fails(category, exit_code: int, message: str):
+    """The block must raise an error of exactly `category`, whose exit code is
+    `exit_code` and whose message is the whole of `message`."""
+    with pytest.raises(category) as exc:
+        yield exc
+    assert (type(exc.value), exc.value.exit_code, str(exc.value)) == (category, exit_code, message)
 
 
 # [A-Za-z_][A-Za-z0-9_]{0,8}, drawn as a first character and a tail: several

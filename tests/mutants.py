@@ -75,6 +75,15 @@ MUTANTS = [
     Mutant("cli_corpus_at_import", "cli.py", "\nfrom .errors import",
            "\nfrom . import corpus\nfrom .errors import"),
     Mutant("cli_quiet_ignored", "cli.py", "if report and not args.quiet:", "if report:"),
+    # Boundaries: each comparison one step off, and the delimiters tried in the other order.
+    Mutant("corpus_semicolon_before_comma", "corpus.py", 'for d in ",;"', 'for d in ";,"'),
+    Mutant("cli_reproduce_gap_below_tolerance", "cli.py", "ok = gap <= args.tolerance",
+           "ok = gap < args.tolerance"),
+    Mutant("cli_alpha_half_rejected", "cli.py", "lambda a: 0 < a <= 0.5", "lambda a: 0 < a < 0.5"),
+    Mutant("spearman_critical_value_significant", "spearman.py", "r_s > critical",
+           "r_s >= critical"),
+    Mutant("regression_largest_float_rejected", "regression.py",
+           "abs(value) <= sys.float_info.max", "abs(value) < sys.float_info.max"),
     # Fast paths' selectors, each beside a slower path that gives the same result.
     Mutant("corpus_cells_never_stripped", "corpus.py", "strip = not text.isascii() or any(",
            "strip = False and any("),

@@ -15,7 +15,7 @@ import pytest
 from cdmetrics.corpus import load_reference_ratings
 from cdmetrics.diagram import validate
 from cdmetrics.dsl import parse, serialize
-from cdmetrics.errors import DslSyntaxError, SingularDesign
+from cdmetrics.errors import DslSyntaxError, ModelError
 from cdmetrics.metrics import MetricsVector, compute_metrics
 from cdmetrics.regression import (
     PUBLISHED_UNDERSTANDABILITY_MODEL,
@@ -24,7 +24,7 @@ from cdmetrics.regression import (
 )
 from cdmetrics.spearman import DifferenceMode, significance, spearman
 
-from .conftest import valid_diagrams
+from .conftest import fails, valid_diagrams
 from .oracles import metrics_brute, random_diagram
 
 from hypothesis import given, settings
@@ -103,7 +103,7 @@ def test_criterion_4_regression_recovery():
 
     v = np.arange(5.0)
     degenerate = (["NA", "NM", "rating"], np.column_stack([v, v, v + 1]))
-    with pytest.raises(SingularDesign):
+    with fails(ModelError, 4, "design columns are linearly dependent"):
         fit(degenerate, ["NA", "NM"])
     _ok(4, "plane recovery to 1e-9, 100 planted models to 1e-8, "
            "singular design rejected")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +75,13 @@ def test_reproduce_value_mode_with_loose_tolerance():
     assert run_cli(["reproduce", "--mode", "value", "--tolerance", "0.1"])[0] == 0
 
 
+def test_reproduce_passes_at_a_gap_equal_to_its_tolerance():
+    gap = 0.0010337164750957584  # the rank-mode gap, as --format json prints it
+    assert json.loads(run_cli(["--format", "json", "reproduce"])[1])["gap"] == gap
+    assert run_cli(["reproduce", "--tolerance", repr(gap)])[0] == 0
+    assert run_cli(["reproduce", "--tolerance", repr(math.nextafter(gap, 0))])[0] == 5
+
+
 def test_usage_error_exit_1():
     assert run_cli(["--format", "yaml", "reproduce"])[0] == 1
 
@@ -114,6 +122,9 @@ TWINS = {
     "fit_semicolon_rating_first": (
         ["fit", "fit.csv", "--predictors", "NA,NM"], {"fit.csv": FIT},
         {"fit.csv": "rating;NA;NM\n3.1;1;2\n3.9;2;1\n5.2;3;5\n6.1;4;3\n6.8;5;4\n"}),
+    # `,` is looked for before `;`, so this header's first name holds its `;`.
+    "validate_comma_before_semicolon": (["validate", "v.csv"], {"v.csv": RATINGS},
+                                        {"v.csv": "note;x," + RATINGS.replace("\n", "\n,")[:-1]}),
     "fit_tab_aligned_semicolon": (["fit", "fit.csv", "--predictors", "NA"],
                                   {"fit.csv": "NA,rating\n1,2\n2,3\n3,5\n"},
                                   {"fit.csv": "NA\t;\trating\n1\t;\t2\n2\t;\t3\n3\t;\t5\n"}),
@@ -147,6 +158,13 @@ TWINS = {
                            {"m.model": '{"intercept": 1.0, "coefficients": {"NA": 0.5}}',
                             "one.cd": SINGLE_CLASS}),
 }
+
+
+def test_alpha_half_is_accepted(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_files(tmp_path, {"v.csv": RATINGS})
+    code, out, err = run_cli(["validate", "v.csv", "--alpha", "0.5"])
+    assert (code, err) == (0, "") and "alpha=0.5" in out
 
 
 @pytest.mark.parametrize("case", TWINS)

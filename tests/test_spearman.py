@@ -8,7 +8,7 @@ from scipy.stats import rankdata
 from scipy.stats import t as student_t
 
 from cdmetrics.corpus import load_reference_ratings
-from cdmetrics.errors import TooFewPairs, ValidationInputError
+from cdmetrics.errors import ValidationInputError
 from cdmetrics.spearman import (
     DifferenceMode,
     _t_ppf,
@@ -16,6 +16,8 @@ from cdmetrics.spearman import (
     significance,
     spearman,
 )
+
+from .conftest import fails
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -72,7 +74,7 @@ def test_reversed_ordering_gives_minus_one():
 
 
 def test_too_few_pairs():
-    with pytest.raises(TooFewPairs):
+    with fails(ValidationInputError, 4, "need at least 2 pairs, got 1"):
         spearman(_pairs([1], [2]))
 
 
@@ -116,6 +118,11 @@ def test_zero_correlation_never_significant():
     for n in (4, 10, 28, 100):
         _, significant = significance(0.0, n, 0.05)
         assert not significant
+
+
+def test_an_r_s_equal_to_the_critical_value_is_not_significant():
+    critical = significance(0.0, 10, 0.05)[0]
+    assert significance(critical, 10, 0.05) == (critical, False)
 
 
 # --- the t quantile, against scipy as the oracle --------------------------------
@@ -197,7 +204,7 @@ def test_a_constant_known_column_against_untied_values_is_an_error():
         spearman(pairs)
     # A first value at the mean rank is not enough: 2 of [2, 1, 3] is not a constant column.
     assert spearman(_pairs([2, 1, 3], [1, 2, 3])).r_s == 0.5
-    with pytest.raises(TooFewPairs):  # too few pairs is still named first
+    with fails(ValidationInputError, 4, "need at least 2 pairs, got 1"):  # still named first
         spearman(_pairs([3], [3]))
 
 
