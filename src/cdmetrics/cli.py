@@ -146,7 +146,7 @@ def _estimate(model: LinearModel, model_path: str | None, metrics) -> float:
 
     value = estimate(model, metrics)
     if not math.isfinite(value):
-        raise ModelError(f"{model_path}: model gives a non-finite estimate ({value})")
+        raise ModelError(f"model gives a non-finite estimate ({value})", model_path)
     return value
 
 
@@ -188,9 +188,8 @@ def _cmd_fit(args):
     from .corpus import load_rating_corpus
     from .regression import fit
 
-    rated = load_rating_corpus(args.corpus)
     with naming(args.corpus):
-        model = fit(rated, args.predictors)
+        model = fit(load_rating_corpus(args.corpus), args.predictors)
     return model.to_json_obj(), EXIT_OK, None
 
 
@@ -201,12 +200,12 @@ def _cmd_validate(args):
 
     model = _load_model(args.model)
     base = os.path.dirname(args.corpus)
-    pairs = validation_pairs(
-        read_file(args.corpus, CorpusError), args.corpus,
-        lambda name: _estimate(model, args.model,
-                               compute_metrics(_load_diagram(os.path.join(base, name)))),
-    )
-    with naming(args.corpus):  # too few pairs; a diagram's error names the diagram
+    with naming(args.corpus):
+        pairs = validation_pairs(
+            read_file(args.corpus, CorpusError), args.corpus,
+            lambda name: _estimate(model, args.model,
+                                   compute_metrics(_load_diagram(os.path.join(base, name)))),
+        )
         report = spearman(pairs, DifferenceMode(args.mode), alpha=args.alpha)
     critical = report.critical_value
     verdict = "significant" if report.significant else "not significant"

@@ -11,7 +11,7 @@ from collections.abc import Callable  # for the annotation
 from itertools import chain
 from operator import itemgetter
 
-from .errors import CorpusError, read_file
+from .errors import CorpusError, naming, read_file
 from .metrics import METRIC_NAMES
 
 REFERENCE_RATINGS = os.path.join(os.path.dirname(__file__), "data", "table2.csv")
@@ -24,7 +24,7 @@ def _delimiter(header_line: str) -> str:
     return next((d for d in ",;" if d in header_line), "\t")
 
 
-def _read_rows(text: str, where: str) -> tuple[list[str], list[dict], Callable[[int], int]]:
+def _read_rows(text: str) -> tuple[list[str], list[dict], Callable[[int], int]]:
     """Header names, the records as dicts by name, and line_of(i), the line record i ends on.
 
     The header is the first line with a non-space character; the lines before it read
@@ -52,20 +52,20 @@ def _read_rows(text: str, where: str) -> tuple[list[str], list[dict], Callable[[
     try:
         header = next(filter(None, reader), None)
         if not header:
-            raise CorpusError(f"{where}: empty corpus")
+            raise CorpusError("empty corpus")
         names = [name.strip() for name in header]
         seen = set()
         for name in names:
             if name in seen:
-                raise CorpusError(f"{where}: duplicate column {name!r}")
+                raise CorpusError(f"duplicate column {name!r}")
             seen.add(name)
         width = len(names)
         records.extend(filter(None, reader))  # keeps the records read before a csv.Error
     except csv.Error as exc:  # the line the reader stopped on
-        failure = CorpusError(f"{where}:{reader.line_num}: {exc}")
+        failure = CorpusError(str(exc), line=reader.line_num)
     if records and max(map(len, records)) > width:  # width is set; named before a csv.Error
         index = next(i for i, fields in enumerate(records) if len(fields) > width)
-        raise CorpusError(f"{where}:{line_of(index)}: more fields than the header")
+        raise CorpusError("more fields than the header", line=line_of(index))
     if failure:
         raise failure
     strip = not text.isascii() or any(c in text for c in '" \t\x0b\x0c\x1c\x1d\x1e\x1f')
@@ -75,13 +75,13 @@ def _read_rows(text: str, where: str) -> tuple[list[str], list[dict], Callable[[
     return names, rows, line_of
 
 
-def _number(row: dict, column: str, where: str) -> float:
+def _number(row: dict, column: str) -> float:
     try:
         value = float(row[column])
     except (KeyError, TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value):
-        raise CorpusError(f"{where}: bad numeric value for column {column!r}: {row.get(column)!r}")
+        raise CorpusError(f"bad numeric value for column {column!r}: {row.get(column)!r}")
     return value
 
 
@@ -92,12 +92,10 @@ def load_rating_corpus(path: str) -> tuple:
     named: the first by row, then predictors in header order, then rating.  A
     plain corpus is read by numpy's C text reader (_plain_table), any other by
     _read_rows and float(): the same values either way."""
-    where = str(path)
-    text = read_file(path, CorpusError)
-    return _plain_table(text, where) or _exact_table(text, where)
+    return read_file(path, CorpusError, lambda text: _plain_table(text) or _exact_table(text))
 
 
-def _plain_table(text: str, where: str):
+def _plain_table(text: str):
     """(names, table) of a fit corpus with no quote, read by np.loadtxt, or None
     where that reader could part from _exact_table.
 
@@ -113,7 +111,7 @@ def _plain_table(text: str, where: str):
     if not text.isascii() or any(c in text for c in '"_#\x00') or not body or body.isspace():
         return None  # loadtxt would refuse the text, or warn on a body of no rows
     try:
-        names, _, _ = _read_rows(header_line, where)
+        names, _, _ = _read_rows(header_line)
     except CorpusError:
         return None
     lines = body.split("\n")
@@ -132,17 +130,17 @@ def _plain_table(text: str, where: str):
     return names, table
 
 
-def _exact_table(text: str, where: str):
+def _exact_table(text: str):
     """(names, table) of any fit corpus: _read_rows' cells, converted by numpy as
     float() reads them; the first fault raises a CorpusError that names it."""
-    names, rows, _ = _read_rows(text, where)
+    names, rows, _ = _read_rows(text)
     if "rating" not in names:
-        raise CorpusError(f"{where}: missing 'rating' column")
+        raise CorpusError("missing 'rating' column")
     at = names.index("rating")
     predictors = names[:at] + names[at + 1:]
     unknown = set(predictors).difference(METRIC_NAMES)
     if unknown:
-        raise CorpusError(f"{where}: unknown metric name(s): {sorted(unknown)}")
+        raise CorpusError(f"unknown metric name(s): {sorted(unknown)}")
     import numpy as np  # here, as in regression.fit, so that `validate` does not load it
     try:  # float()'s reading of every cell at once; a None cell reads as NaN
         table = np.fromiter(chain.from_iterable(map(dict.values, rows)), dtype=float,
@@ -152,39 +150,44 @@ def _exact_table(text: str, where: str):
     if table is None or not np.isfinite(table).all():
         for row in rows:  # the first fault by row, then predictors in header order, then rating
             for column in (*predictors, "rating"):
-                _number(row, column, where)
+                _number(row, column)
     return names, table.reshape(len(rows), len(names))
 
 
 def parse_validation_rows(text: str, where: str) -> list[dict[str, str]]:
     """Validation corpus rows, as _read_rows gives them: id plus known, and a
     computed or a diagram value."""
-    names, rows, line_of = _read_rows(text, where)
-    if "known" not in names:
-        raise CorpusError(f"{where}: missing 'known' column")
-    if "computed" not in names and "diagram" not in names:
-        raise CorpusError(f"{where}: need a 'computed' or 'diagram' column")
-    if "computed" not in names or not all(map(itemgetter("computed"), rows)):
-        for i, row in enumerate(rows):  # the first row without a value names its line
-            if not (row.get("computed") or row.get("diagram")):
-                raise CorpusError(f"{where}:{line_of(i)}: need a 'computed' or 'diagram' value")
+    with naming(where):
+        names, rows, line_of = _read_rows(text)
+        if "known" not in names:
+            raise CorpusError("missing 'known' column")
+        if "computed" not in names and "diagram" not in names:
+            raise CorpusError("need a 'computed' or 'diagram' column")
+        if "computed" not in names or not all(map(itemgetter("computed"), rows)):
+            for i, row in enumerate(rows):  # the first row without a value names its line
+                if not (row.get("computed") or row.get("diagram")):
+                    raise CorpusError("need a 'computed' or 'diagram' value", line=line_of(i))
     return rows
 
 
 def pair_from_row(row: dict[str, str], computed: float, where: str) -> tuple[float, float]:
     """A plain (known, computed) tuple, the row's `known` cell checked finite and `computed`
     not: for validation_pairs, and callers that convert `computed` themselves."""
-    return _number(row, "known", where), computed
+    try:
+        return _number(row, "known"), computed
+    except CorpusError as exc:  # named here, as a `with naming` per row would slow the loop
+        raise CorpusError(exc.args[0], where) from None
 
 
 def validation_pairs(text: str, where: str, estimate_diagram=None) -> list[tuple[float, float]]:
     """Plain (known, computed) tuples of a validation corpus; a row without a
     computed value gets estimate_diagram(its diagram cell), read before its known."""
-    return [
-        pair_from_row(row, _number(row, "computed", where) if row.get("computed")
-                      else estimate_diagram(row["diagram"]), where)
-        for row in parse_validation_rows(text, where)
-    ]
+    with naming(where):
+        return [
+            pair_from_row(row, _number(row, "computed") if row.get("computed")
+                          else estimate_diagram(row["diagram"]), where)
+            for row in parse_validation_rows(text, where)
+        ]
 
 
 def load_reference_ratings() -> list[tuple[float, float]]:

@@ -25,7 +25,6 @@ token when a token is missing.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 
 from .diagram import ClassDecl, ClassDiagram, RelKind, Relationship
 from .errors import DiagramFormatError, DslSyntaxError, check
@@ -46,18 +45,12 @@ _ARROWS = {
 }
 
 
-class SourceSpan(namedtuple("SourceSpan", "line column")):
-    """A 1-based line and column."""
-
-    __slots__ = ()
-
-
 def _fail(number: int, code: str, index: int, message: str):
     """Raise a DslSyntaxError at the index-th token of a line, or just past its
     last token when that token is missing."""
     tokens = list(re.finditer(r"\S+", code))
     column = tokens[index].start() + 1 if index < len(tokens) else tokens[-1].end() + 1
-    raise DslSyntaxError(SourceSpan(number, column), message)
+    raise DslSyntaxError(message, line=number, column=column)
 
 
 def _bad_ident(tokens: list, index: int, what: str) -> str:
@@ -72,7 +65,7 @@ def parse(source: str) -> ClassDiagram:
 
     One pass over the lines: each non-blank line is a top-level construct, or
     a body entry while a class body is open.  Its tokens are checked left to
-    right, and the first that fails raises a DslSyntaxError with its span.
+    right, and the first that fails raises a DslSyntaxError at its line and column.
     """
     diagram_id = None
     classes: list[ClassDecl] = []

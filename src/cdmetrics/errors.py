@@ -2,9 +2,9 @@
 
 Every error type of the package is here, the corpus reader's CorpusError
 included.  A class is a category: it carries the exit code the CLI returns
-for it, and each fault is raised with its message written where it is found.
-A DslSyntaxError's `span` and a HierarchyCycle's `cycle` are the only data
-an error carries beyond its message.
+for it.  An error carries its bare message in `args[0]`, and the place of the
+fault in the fields `path`, `line` and `column`, each None until known; str()
+renders them, gcc-style.  A HierarchyCycle also carries its `cycle`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ class CdmetricsError(Exception):
     """
 
     exit_code = 4
+
+    def __init__(self, message: str, path=None, line=None, column=None):
+        super().__init__(message)
+        self.path, self.line, self.column = path, line, column
+
+    def __str__(self):
+        place = [str(part) for part in (self.path, self.line, self.column) if part is not None]
+        return f"{':'.join(place)}: {self.args[0]}" if place else self.args[0]
 
 
 class DiagramError(CdmetricsError):
@@ -47,11 +55,7 @@ class DiagramFormatError(CdmetricsError):
 
 
 class DslSyntaxError(DiagramFormatError):
-    """Malformed DSL source; carries a 1-based line/column span."""
-
-    def __init__(self, span, message: str):
-        self.span = span
-        super().__init__(f"{span.line}:{span.column}: {message}")
+    """Malformed DSL source, raised with the 1-based line and column at fault."""
 
 
 class ModelError(CdmetricsError):
@@ -66,21 +70,21 @@ class ValidationInputError(CdmetricsError):
     """Bad input to the rank-correlation routines."""
 
 
-def check(value, kind: type, error: type[CdmetricsError], path: str):
-    """value itself if it is a `kind`, else `error` at the field `path`."""
+def check(value, kind: type, error: type[CdmetricsError], field: str):
+    """value itself if it is a `kind`, else `error` at the JSON field path `field`."""
     if isinstance(value, kind):
         return value
-    raise error(f"{path}: expected {kind.__name__}, got {value!r:.40}")
+    raise error(f"{field}: expected {kind.__name__}, got {value!r:.40}")
 
 
 @contextmanager
 def naming(path):
-    """An error raised in the block gets the name of the file at fault in front."""
+    """An error raised in the block that names no file gets `path` as its file."""
     try:
         yield
     except CdmetricsError as exc:
-        # A DSL error's message starts with line:column, gcc-style.
-        exc.args = (f"{path}{':' if isinstance(exc, DslSyntaxError) else ': '}{exc}",)
+        if exc.path is None:
+            exc.path = path
         raise
 
 

@@ -49,7 +49,7 @@ MUTANTS = [
            "successors.items()})"),
     Mutant("diagram_source_depth_from_first_target", "diagram.py",
            "max(map(depths.__getitem__, targets))", "depths[next(iter(targets))]"),
-    Mutant("corpus_known_unchecked", "corpus.py", 'return _number(row, "known", where), computed',
+    Mutant("corpus_known_unchecked", "corpus.py", 'return _number(row, "known"), computed',
            'return float(row["known"]), computed'),
     Mutant("corpus_plain_table_reads_empty_body", "corpus.py",
            " or not body or body.isspace():", ":"),
@@ -63,9 +63,8 @@ MUTANTS = [
            "NA=sum(len(c.methods)"),
     Mutant("metrics_graph_core_at_import", "metrics.py", "from collections import namedtuple\n",
            "from collections import namedtuple\n\nfrom .diagram import RelKind\n"),
-    Mutant("errors_naming_keeps_message", "errors.py",
-           "exc.args = (f\"{path}{':' if isinstance(exc, DslSyntaxError) else ': '}{exc}\",)",
-           "pass"),
+    Mutant("errors_naming_keeps_message", "errors.py", "exc.path = path", "pass"),
+    Mutant("errors_naming_overrides_inner_file", "errors.py", "if exc.path is None:", "if True:"),
     Mutant("errors_bom_kept", "errors.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
     Mutant("cli_last_exit_code_wins", "cli.py", "max(exit_code, exc.exit_code)",
            "exc.exit_code"),

@@ -13,7 +13,6 @@ import networkx as nx
 
 from cdmetrics.corpus import CorpusError
 from cdmetrics.diagram import ClassDecl, ClassDiagram, RelKind, Relationship
-from cdmetrics.dsl import SourceSpan
 from cdmetrics.errors import DiagramFormatError, DslSyntaxError, check
 from cdmetrics.metrics import METRIC_NAMES
 
@@ -213,7 +212,7 @@ def validation_pairs_by_column(text: str, where: str, estimate) -> list[tuple[fl
 # --- the .cd parser with a `_Line` for every non-blank line -------------------------
 # `parse` and `_Line` as they stood before `parse` checked the common line shapes
 # in place, unchanged but for the name `parse_reference`.  `parse` must agree with
-# it on every input, in its result or in its error's type, message and span.
+# it on every input, in its result or in its error's type, message, line and column.
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ARROWS = {
@@ -238,7 +237,7 @@ class _Line:
             column = starts[index]
         else:  # just past the last token, for "missing token" errors
             column = starts[-1] + len(self.tokens[-1])
-        raise DslSyntaxError(SourceSpan(self.number, column), message)
+        raise DslSyntaxError(message, line=self.number, column=column)
 
     def ident(self, index: int, what: str) -> str:
         if index >= len(self.tokens):

@@ -155,7 +155,7 @@ def test_criterion_7b_error_corpus():
     for source, line, column in MALFORMED:
         with pytest.raises(DslSyntaxError) as exc:
             parse(source)
-        assert (exc.value.span.line, exc.value.span.column) == (line, column), source
+        assert (exc.value.line, exc.value.column) == (line, column), source
     _ok(7, "1000 round-trips exact; all malformed fixtures give the "
            "expected line/column")
 

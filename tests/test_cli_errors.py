@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cdmetrics.corpus import CorpusError, pair_from_row
 from cdmetrics.dsl import to_dict
-from cdmetrics.errors import CdmetricsError, DiagramError, DiagramFormatError
+from cdmetrics.errors import CdmetricsError, DiagramError, DiagramFormatError, naming
 
 from .conftest import run_cli, valid_diagrams, write_files
 
@@ -413,3 +413,20 @@ def test_fuzzed_inputs_never_end_in_a_traceback(files):
             assert "Traceback" not in err
             if code != 0 and "metrics" not in argv and "estimate" not in argv:
                 assert out == "" and err.count("\n") == 1, (argv, err)
+
+
+# An error's place is its fields; str() writes those that are set in front of args[0].
+# Raised in naming("outer") around naming("inner"), it names the inner file, unless it
+# names its own.
+@pytest.mark.parametrize("fields, alone, nested", [
+    ({}, "bad cell", "inner: bad cell"),
+    ({"path": "c.csv"}, "c.csv: bad cell", "c.csv: bad cell"),
+    ({"path": "c.csv", "line": 3}, "c.csv:3: bad cell", "c.csv:3: bad cell"),
+    ({"path": "d.cd", "line": 3, "column": 9}, "d.cd:3:9: bad cell", "d.cd:3:9: bad cell"),
+    ({"line": 3, "column": 9}, "3:9: bad cell", "inner:3:9: bad cell"),
+], ids=["none", "path", "path_line", "path_line_column", "line_column"])
+def test_an_error_renders_the_place_fields_that_are_set(fields, alone, nested):
+    assert str(CdmetricsError("bad cell", **fields)) == alone
+    with pytest.raises(CdmetricsError) as exc, naming("outer"), naming("inner"):
+        raise CdmetricsError("bad cell", **fields)
+    assert (str(exc.value), exc.value.args[0]) == (nested, "bad cell")
