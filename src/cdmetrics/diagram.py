@@ -88,9 +88,10 @@ class ClassDiagram:
         ready once all its successors are done), and each source then takes 1 +
         its deepest target's depth.  `depths` lists sinks, batches, then sources;
         no caller reads its order.  Raises a DiagramError `duplicate <kind> edge
-        A -> B`, or a HierarchyCycle `<kind> cycle: A -> B -> A` for a directed
-        cycle (the one graphlib names in the whole graph), on the first violation
-        found.  The cached dict is shared by every reader and must not be mutated.
+        A -> B`, or a HierarchyCycle `<kind> cycle: A -> B -> A` naming, in edge
+        order, the cycle graphlib finds among the classes with both an incoming and
+        an outgoing edge of the kind, on the first violation found.  The cached
+        dict is shared by every reader and must not be mutated.
         """
         hierarchies: dict[RelKind, Hierarchies] = {}
         for kind in (RelKind.GENERALIZATION, RelKind.AGGREGATION):
@@ -115,14 +116,9 @@ class ClassDiagram:
                                        if source in targeted})
             try:
                 order.prepare()
-            except CycleError:
-                # The cycles are the whole graph's, but graphlib's walk of the whole
-                # graph may name another one: that one is reported.  args[1] walks the
-                # cycle against the edges, first node repeated: [a, c, b, a] for a -> b -> c -> a.
-                try:
-                    TopologicalSorter(successors).prepare()
-                except CycleError as exc:
-                    raise HierarchyCycle(kind, exc.args[1][:0:-1]) from None
+            except CycleError as exc:
+                # args[1] is [a, c, b, a] for a -> b -> c -> a: against the edges, a repeated.
+                raise HierarchyCycle(kind, exc.args[1][:0:-1]) from None
             depths = dict.fromkeys(filterfalse(successors.__contains__, parent), 0)
             for depth, layer in enumerate(iter(order.get_ready, ()), 1):
                 depths.update(dict.fromkeys(layer, depth))

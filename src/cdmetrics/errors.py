@@ -40,7 +40,7 @@ class DiagramError(CdmetricsError):
 
 
 class HierarchyCycle(DiagramError):
-    """A directed cycle of a hierarchy kind's edges; `cycle` lists its classes."""
+    """A directed cycle of a hierarchy kind's edges; `cycle` lists its classes in edge order."""
 
     def __init__(self, kind, cycle: list[str]):
         self.cycle = list(cycle)

@@ -49,6 +49,7 @@ MUTANTS = [
            "successors.items()})"),
     Mutant("diagram_source_depth_from_first_target", "diagram.py",
            "max(map(depths.__getitem__, targets))", "depths[next(iter(targets))]"),
+    Mutant("diagram_cycle_against_edges", "diagram.py", "exc.args[1][:0:-1]", "exc.args[1][1:]"),
     Mutant("corpus_known_unchecked", "corpus.py", 'return _number(row, "known"), computed',
            'return float(row["known"]), computed'),
     Mutant("corpus_plain_table_reads_empty_body", "corpus.py",

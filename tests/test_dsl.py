@@ -98,11 +98,6 @@ def test_all_constructs_round_trip():
 
 
 @given(valid_diagrams())
-def test_round_trip_random(d):
-    assert parse(serialize(d)) == d
-
-
-@given(valid_diagrams())
 def test_structured_data_round_trip(d):
     assert from_dict(to_dict(d)) == d
 

@@ -1,4 +1,6 @@
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import example, given
 
@@ -231,29 +233,50 @@ def test_unvalidated_hierarchy_faults_raise_typed_errors(measure, kind, fault):
         measure(d)
 
 
-def test_one_graphlib_pass_per_hierarchy_kind(monkeypatch):
-    built, iterated = [], []
+class RecordingSorter(cdmetrics.diagram.TopologicalSorter):
+    """A TopologicalSorter that keeps the nodes it is given in `given`."""
 
-    class CountingSorter(cdmetrics.diagram.TopologicalSorter):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
+    def __init__(self, *args, **kwargs):
+        self.given = set()
+        super().__init__(*args, **kwargs)
+
+    def add(self, node, *predecessors):
+        self.given.update((node, *predecessors))
+        super().add(node, *predecessors)
+
+
+@contextmanager
+def recorded_sorters():
+    """In the block, diagram builds RecordingSorters: yields the list of those built."""
+    sorters = []
+
+    def build(*args, **kwargs):
+        sorters.append(RecordingSorter(*args, **kwargs))
+        return sorters[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdmetrics.diagram, "TopologicalSorter", build)
+        yield sorters
+
+
+def test_one_graphlib_pass_per_hierarchy_kind():
+    iterated = []
 
     class CountingEdges(tuple):
         def __iter__(self):
             iterated.append(self)
             return super().__iter__()
 
-    monkeypatch.setattr(cdmetrics.diagram, "TopologicalSorter", CountingSorter)
     d = parse(
         "class A {}\nclass B {}\nclass C {}\n"
         "gen C => B\ngen B => A\nagg A o- C\nagg B o- C\n"
     )
-    validate(d)
-    # Validation walked each hierarchy kind's edges: the metrics only take their len.
-    for kind in (GEN, AGG):
-        d.groups[kind] = CountingEdges(d.groups[kind])
-    vec = compute_metrics(d)
+    with recorded_sorters() as built:
+        validate(d)
+        # Validation walked each hierarchy kind's edges: the metrics only take their len.
+        for kind in (GEN, AGG):
+            d.groups[kind] = CountingEdges(d.groups[kind])
+        vec = compute_metrics(d)
     assert iterated == []
     assert (vec.NGen, vec.NGenH, vec.MaxDIT, vec.NAgg, vec.NAggH, vec.MaxHAgg) == (2, 1, 2, 2, 1, 1)
     assert (d.hierarchies[GEN].depths.get("C", 0), d.hierarchies[AGG].depths.get("A", 0)) == (2, 1)
@@ -278,20 +301,8 @@ SINK_THEN_CHAIN = ClassDiagram("d", tuple(ClassDecl(c) for c in "SABCD"), tuple(
 @example(STAR)
 @example(SINK_THEN_CHAIN)
 def test_graphlib_is_given_only_classes_with_an_incoming_and_an_outgoing_edge(d):
-    class RecordingSorter(cdmetrics.diagram.TopologicalSorter):
-        def __init__(self, *args, **kwargs):
-            self.given = set()
-            sorters.append(self)
-            super().__init__(*args, **kwargs)
-
-        def add(self, node, *predecessors):
-            self.given.update((node, *predecessors))
-            super().add(node, *predecessors)
-
-    sorters = []
     d = ClassDiagram(d.id, d.classes, d.relationships)  # nothing cached on it yet
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cdmetrics.diagram, "TopologicalSorter", RecordingSorter)
+    with recorded_sorters() as sorters:
         validate(d)
     assert len(sorters) == 2
     for kind, sorter in zip((GEN, AGG), sorters):
@@ -308,3 +319,17 @@ def test_graphlib_is_given_only_classes_with_an_incoming_and_an_outgoing_edge(d)
         }
         sinks = targets - successors.keys()
         assert {sink: depths.get(sink) for sink in sinks} == dict.fromkeys(sinks, 0)
+
+
+@pytest.mark.parametrize("kind, sorts", [(GEN, 1), (AGG, 2)], ids=["generalization", "aggregation"])
+def test_a_cycle_is_named_by_the_one_sort_of_its_kind(kind, sorts):
+    # Generalization is sorted first: its cycle ends validation before aggregation's sort.
+    # The source S and the sink T are left out of the sort that finds A -> B -> A.
+    d = ClassDiagram("d", tuple(ClassDecl(c) for c in "ABST"), tuple(
+        Relationship(kind, source, target)
+        for source, target in (("S", "A"), ("A", "B"), ("B", "A"), ("B", "T"))
+    ))
+    with recorded_sorters() as sorters, fails(HierarchyCycle, 3, f"{kind.value} cycle: A -> B -> A"):
+        validate(d)
+    assert len(sorters) == sorts
+    assert sorters[-1].given == {"A", "B"}
